@@ -18,7 +18,7 @@ from .checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from .config import Paths, RunConfig, build_run_config, load_config_file
+from .config import RunConfig, build_run_config, load_config_file
 from .diagnostics import (
     DiagnosticsReport,
     detect_loop_trap,
@@ -67,7 +67,6 @@ __all__ = [
     "ModelConfig",
     "ModelState",
     "ParamStore",
-    "Paths",
     "RecurrentState",
     "RunConfig",
     "SampleRnnModel",

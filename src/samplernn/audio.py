@@ -205,23 +205,56 @@ def save_manifest(manifest, path):
             fh.write(f"{e.chunk_id}\t{e.source_file}\t{e.offset_samples}\t{e.split_tag}\n")
 
 
+def _manifest_int(path, lineno, name, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ContractError(f"{path}:{lineno}: {name} {text!r} is not an integer") from None
+
+
 def load_manifest(path):
+    """Read a manifest written by save_manifest.
+
+    A malformed header or row raises ContractError naming the file and line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
-            raise ContractError(f"{path}: missing manifest header line")
-        fields = dict(kv.split("=", 1) for kv in header[1:].split())
+            raise ContractError(f"{path}:1: missing manifest header line")
+        fields = {}
+        for token in header[1:].split():
+            key, sep, value = token.partition("=")
+            if not sep:
+                raise ContractError(f"{path}:1: header token {token!r} is not key=value")
+            fields[key] = value
+        for key in ("corpus_id", "seed", "chunk_len"):
+            if key not in fields:
+                raise ContractError(f"{path}:1: header lacks {key}")
         manifest = ChunkManifest(
-            fields["corpus_id"], int(fields["chunk_len"]), [], int(fields["seed"])
+            fields["corpus_id"],
+            _manifest_int(path, 1, "chunk_len", fields["chunk_len"]),
+            [],
+            _manifest_int(path, 1, "seed", fields["seed"]),
         )
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            cid, src, off, tag = line.split("\t")
+            row = line.split("\t")
+            if len(row) != 4:
+                raise ContractError(
+                    f"{path}:{lineno}: {len(row)} tab-separated fields, expected 4 "
+                    "(chunk_id, source_file, offset_samples, split_tag)"
+                )
+            cid, src, off, tag = row
             if tag not in SPLIT_TAGS:
-                raise ContractError(f"{path}: bad split tag {tag!r}")
-            manifest.entries.append(ManifestEntry(int(cid), src, int(off), tag))
+                raise ContractError(f"{path}:{lineno}: bad split tag {tag!r}")
+            manifest.entries.append(ManifestEntry(
+                _manifest_int(path, lineno, "chunk_id", cid),
+                src,
+                _manifest_int(path, lineno, "offset_samples", off),
+                tag,
+            ))
     ids = [e.chunk_id for e in manifest.entries]
     if sorted(ids) != list(range(len(ids))):
         raise ContractError(f"{path}: chunk ids are not dense 0..N-1")

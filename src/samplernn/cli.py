@@ -17,7 +17,7 @@ from .config import build_run_config
 from .checkpoint import load_checkpoint, model_from_checkpoint
 from .diagnostics import diagnose_clip
 from .errors import DivergenceError, EmptyCorpusError, SampleRnnError
-from .generate import GenConfig, checkpoint_generation_schedule, generate_batch
+from .generate import GenConfig, checkpoint_generation_schedule, write_checkpoint_clips
 from .gradcheck import standard_checks
 from .model import init_params
 from .training import ChunkDataset, train_loop
@@ -132,21 +132,10 @@ def cmd_generate(args):
         mode="argmax" if args.argmax else "softmax_sample",
         seed=args.seed,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
     if args.ckpt_dir:
         reports = checkpoint_generation_schedule(args.ckpt_dir, cfg, args.out_dir)
     else:
-        ck = load_checkpoint(args.ckpt)
-        model = model_from_checkpoint(ck)
-        clips = generate_batch(model, cfg)
-        reports = []
-        for k, clip in enumerate(clips):
-            name = f"ckpt{ck.iteration}_seq{k}.wav"
-            audio.write_wav(clip, os.path.join(args.out_dir, name))
-            reports.append(diagnose_clip(clip, name))
-        with open(os.path.join(args.out_dir, "diagnostics.txt"), "a", encoding="utf-8") as fh:
-            for report in reports:
-                fh.write(report.line() + "\n")
+        reports = write_checkpoint_clips(load_checkpoint(args.ckpt), cfg, args.out_dir)
     for report in reports:
         print(report.line())
     print(f"wrote {len(reports)} clip(s) to {args.out_dir}")

@@ -1,9 +1,9 @@
 """Run configuration: key=value files, presets, and override merging.
 
 Config files are plain text, one `key = value` per line, `#` comments, with
-keys namespaced model.*, train.*, gen.*, paths.*. Unknown keys are hard
-errors; every effective value can be echoed into the metrics log header so a
-run is reproducible from its log alone.
+keys namespaced model.* and train.*. Unknown keys are hard errors; every
+effective value can be echoed into the metrics log header so a run is
+reproducible from its log alone.
 """
 
 from __future__ import annotations
@@ -12,24 +12,12 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .generate import GenConfig
 from .model import ModelConfig
 from .training import TrainConfig
-
-
-@dataclass
-class Paths:
-    corpus_dir: str = ""
-    manifest: str = ""
-    checkpoint_dir: str = ""
-    output_dir: str = ""
-
 
 _SECTIONS = {
     "model": ModelConfig,
     "train": TrainConfig,
-    "gen": GenConfig,
-    "paths": Paths,
 }
 
 
@@ -115,8 +103,6 @@ def load_config_file(path):
 class RunConfig:
     model: ModelConfig
     train: TrainConfig
-    gen: GenConfig
-    paths: Paths
 
     def echo_lines(self):
         lines = []
@@ -148,9 +134,4 @@ def build_run_config(preset=None, config_file=None, overrides=None):
     for key, text in merged.items():
         section, _, name = key.partition(".")
         kwargs[section][name] = parse_value(key, text)
-    return RunConfig(
-        ModelConfig(**kwargs["model"]),
-        TrainConfig(**kwargs["train"]),
-        GenConfig(**kwargs["gen"]),
-        Paths(**kwargs["paths"]),
-    )
+    return RunConfig(ModelConfig(**kwargs["model"]), TrainConfig(**kwargs["train"]))

@@ -25,14 +25,7 @@ from .errors import (
     GenerationMemoryError,
     NumericError,
 )
-from .model import (
-    CELL_LSTM,
-    H0_LEARNED,
-    H0_RANDOM_STD,
-    RecurrentState,
-    dequantize,
-    quantize,
-)
+from .model import dequantize, quantize
 
 log = logging.getLogger("samplernn")
 
@@ -86,33 +79,6 @@ def sample_categorical(logits, temperature, rng, argmax=False):
     return min(int(np.searchsorted(cdf, u, side="right")), logits.size - 1)
 
 
-def _initial_rnn_arrays(model, streams):
-    """Per-sequence h0: learned broadcasts the trained vectors, randomized
-    draws each sequence's vectors from its own stream (batch-independent)."""
-    cfg = model.config
-    n_seq = len(streams)
-    h, c = [], []
-    for l in range(cfg.n_layers):
-        if cfg.h0_mode == H0_LEARNED:
-            h.append(np.repeat(model.params[f"h0.h{l}"].data[None, :], n_seq, axis=0))
-            if cfg.cell == CELL_LSTM:
-                c.append(np.repeat(model.params[f"h0.c{l}"].data[None, :], n_seq, axis=0))
-        else:
-            h.append(np.stack([
-                s.normal(0.0, H0_RANDOM_STD, cfg.hidden_dim).astype(model.dtype)
-                for s in streams
-            ]))
-            if cfg.cell == CELL_LSTM:
-                c.append(np.stack([
-                    s.normal(0.0, H0_RANDOM_STD, cfg.hidden_dim).astype(model.dtype)
-                    for s in streams
-                ]))
-    return RecurrentState(
-        [Tensor(x) for x in h],
-        [Tensor(x) for x in c] if cfg.cell == CELL_LSTM else None,
-    )
-
-
 def generate_batch(model, cfg):
     """Generate cfg.n_seq clips of cfg.clip_seconds in lockstep.
 
@@ -142,7 +108,7 @@ def generate_batch(model, cfg):
     codes = np.full((cfg.n_seq, fs + n_samples), silence, dtype=np.int64)
 
     with ad.no_grad():
-        rnn = _initial_rnn_arrays(model, streams)
+        rnn = model.initial_state(cfg.n_seq, rng=streams).rnn
         cond = np.zeros((cfg.n_seq, fs, mcfg.hidden_dim), dtype=model.dtype)
         for t in range(fs, fs + n_samples):
             k = t % fs
@@ -161,20 +127,32 @@ def generate_batch(model, cfg):
     return [AudioBuffer(samples[b], mcfg.sample_rate) for b in range(cfg.n_seq)]
 
 
-def generate_from_checkpoint(path, cfg):
-    """Load a checkpoint, rebuild the model, and generate a batch."""
-    ck = load_checkpoint(path)
-    model = model_from_checkpoint(ck)
-    return ck, generate_batch(model, cfg)
+def write_checkpoint_clips(ck, cfg, out_dir):
+    """Generate a batch from one loaded checkpoint, then write and screen it.
+
+    WAVs land in out_dir as ckpt<iter>_seq<k>.wav; one diagnostics line per
+    clip is appended to out_dir/diagnostics.txt. Returns the reports in
+    sequence order.
+    """
+    clips = generate_batch(model_from_checkpoint(ck), cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    reports = []
+    with open(os.path.join(out_dir, "diagnostics.txt"), "a", encoding="utf-8") as fh:
+        for k, clip in enumerate(clips):
+            name = f"ckpt{ck.iteration}_seq{k}.wav"
+            write_wav(clip, os.path.join(out_dir, name))
+            report = diagnose_clip(clip, name)
+            reports.append(report)
+            fh.write(report.line() + "\n")
+    return reports
 
 
-def checkpoint_generation_schedule(ckpt_dir, cfg, out_dir, report_name="diagnostics.txt"):
+def checkpoint_generation_schedule(ckpt_dir, cfg, out_dir):
     """Generate clips and diagnostics for every checkpoint in a directory.
 
     Checkpoints are processed in iteration order; unreadable files are
-    skipped with a warning. WAVs land in out_dir as ckpt<iter>_seq<k>.wav;
-    one report line per clip is appended to the report file and the reports
-    are returned in file order.
+    skipped with a warning. Each checkpoint goes through
+    write_checkpoint_clips; the reports are returned in iteration order.
     """
     candidates = sorted(
         os.path.join(ckpt_dir, f) for f in os.listdir(ckpt_dir) if f.endswith(".srnn")
@@ -182,24 +160,10 @@ def checkpoint_generation_schedule(ckpt_dir, cfg, out_dir, report_name="diagnost
     loaded = []
     for path in candidates:
         try:
-            loaded.append((load_checkpoint(path), path))
+            loaded.append(load_checkpoint(path))
         except CheckpointError as exc:
             log.warning("skipping unreadable checkpoint %s: %s", path, exc)
     if not loaded:
         raise CheckpointError(f"no valid checkpoints in {ckpt_dir}")
-    loaded.sort(key=lambda pair: pair[0].iteration)
-
-    os.makedirs(out_dir, exist_ok=True)
-    reports = []
-    report_path = os.path.join(out_dir, report_name)
-    with open(report_path, "a", encoding="utf-8") as fh:
-        for ck, path in loaded:
-            model = model_from_checkpoint(ck)
-            clips = generate_batch(model, cfg)
-            for k, clip in enumerate(clips):
-                name = f"ckpt{ck.iteration}_seq{k}.wav"
-                write_wav(clip, os.path.join(out_dir, name))
-                report = diagnose_clip(clip, name)
-                reports.append(report)
-                fh.write(report.line() + "\n")
-    return reports
+    loaded.sort(key=lambda ck: ck.iteration)
+    return [r for ck in loaded for r in write_checkpoint_clips(ck, cfg, out_dir)]

@@ -207,24 +207,29 @@ class SampleRnnModel:
         """Cold state: h0 per layer, no code history, no conditioning.
 
         learned mode broadcasts the trainable h0 vectors (gradients flow
-        back into them); randomized mode draws N(0, 0.01) from `rng`.
+        back into them); randomized mode draws N(0, 0.01) rows from `rng`,
+        either one Generator for every row or a sequence of per-row
+        Generators. Every layer's h rows are drawn before any layer's c
+        rows, one row at a time, which for a single Generator equals one
+        [batch_size, hidden] block draw per layer.
         """
         cfg = self.config
         if cfg.h0_mode == H0_LEARNED:
-            h = [ad.tile_rows(self.params[f"h0.h{l}"], batch_size) for l in range(cfg.n_layers)]
-            c = None
-            if cfg.cell == CELL_LSTM:
-                c = [ad.tile_rows(self.params[f"h0.c{l}"], batch_size) for l in range(cfg.n_layers)]
+            def h0(name):
+                return ad.tile_rows(self.params[name], batch_size)
         else:
             if rng is None:
                 raise ContractError("randomized h0 needs an rng stream")
-            shape = (batch_size, cfg.hidden_dim)
-            h = [Tensor(rng.normal(0.0, H0_RANDOM_STD, shape).astype(self.dtype))
-                 for _ in range(cfg.n_layers)]
-            c = None
-            if cfg.cell == CELL_LSTM:
-                c = [Tensor(rng.normal(0.0, H0_RANDOM_STD, shape).astype(self.dtype))
-                     for _ in range(cfg.n_layers)]
+            rows = [rng] * batch_size if isinstance(rng, np.random.Generator) else list(rng)
+            if len(rows) != batch_size:
+                raise ContractError(f"{len(rows)} h0 streams for a batch of {batch_size}")
+
+            def h0(name):  # drawn, not read from params
+                return Tensor(np.stack([
+                    g.normal(0.0, H0_RANDOM_STD, cfg.hidden_dim) for g in rows
+                ]).astype(self.dtype))
+        h = [h0(f"h0.h{l}") for l in range(cfg.n_layers)]
+        c = [h0(f"h0.c{l}") for l in range(cfg.n_layers)] if cfg.cell == CELL_LSTM else None
         return ModelState(RecurrentState(h, c))
 
     # -- frame tier ---------------------------------------------------------

@@ -9,6 +9,7 @@ index), which is what makes resuming from a checkpoint exact.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -21,6 +22,9 @@ from .errors import ContractError, DivergenceError
 from .model import model_forward_nll, quantize
 
 LN2 = float(np.log(2.0))
+# TrainConfig fields a resume may change: they set where the run stops and
+# what it writes on the way, not the trajectory
+RESUMABLE_FIELDS = ("max_iterations", "checkpoint_every", "validate_every")
 
 
 @dataclass
@@ -266,6 +270,16 @@ def train_loop(
 
     if resume_from is not None:
         ck = ckpt_io.load_checkpoint(resume_from)
+        changed = [
+            f"{f.name} {getattr(ck.train_config, f.name)!r} -> {getattr(cfg, f.name)!r}"
+            for f in dataclasses.fields(cfg)
+            if f.name not in RESUMABLE_FIELDS
+            and getattr(ck.train_config, f.name) != getattr(cfg, f.name)
+        ]
+        if changed:
+            raise ContractError(
+                f"{resume_from}: cannot resume with a changed train config: {', '.join(changed)}"
+            )
         model.params.load_arrays(ck.params)
         optimizer.load_state_arrays(ck.extra_arrays, ck.adam_step)
         rng.bit_generator.state = ck.rng_state

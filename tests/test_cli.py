@@ -6,7 +6,7 @@ import pytest
 from samplernn import audio
 from samplernn.audio import AudioBuffer
 from samplernn.cli import main
-from samplernn.config import build_run_config, load_config_file
+from samplernn.config import KEY_TYPES, build_run_config, load_config_file
 from samplernn.errors import ConfigError
 
 from conftest import make_tone
@@ -22,22 +22,20 @@ def test_config_file_parses_namespaced_keys(tmp_path):
         "model.n_layers = 3\n"
         "model.cell = gru   # inline comment\n"
         "train.lr = 0.0005\n"
-        "gen.n_seq = 4\n"
-        "paths.manifest = /data/m.tsv\n"
     )
     run = build_run_config(config_file=str(path))
     assert run.model.n_layers == 3
     assert run.model.cell == "gru"
     assert run.train.lr == 0.0005
-    assert run.gen.n_seq == 4
-    assert run.paths.manifest == "/data/m.tsv"
 
 
 def test_unknown_key_is_hard_error(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("model.layers = 3\n")
-    with pytest.raises(ConfigError):
-        load_config_file(str(path))
+    # gen.* and paths.* are not config sections: nothing would read them
+    for key in ("model.layers", "gen.n_seq", "paths.manifest"):
+        path.write_text(f"{key} = 3\n")
+        with pytest.raises(ConfigError):
+            load_config_file(str(path))
 
 
 def test_bad_value_is_error(tmp_path):
@@ -73,9 +71,10 @@ def test_overrides_beat_file_and_preset(tmp_path):
 def test_echo_lines_cover_every_key():
     run = build_run_config(preset="desk")
     lines = run.echo_lines()
-    keys = {line.split("=")[0] for line in lines}
-    assert "model.n_layers" in keys and "train.lr" in keys
-    assert "gen.temperature" in keys and "paths.manifest" in keys
+    keys = [line.split("=")[0] for line in lines]
+    assert keys == list(KEY_TYPES)
+    assert len(keys) == 23
+    assert {k.split(".")[0] for k in keys} == {"model", "train"}
 
 
 # -- CLI flows -------------------------------------------------------------------
@@ -180,6 +179,56 @@ def test_generate_flag_mapping(corpus, tmp_path, capsys):
     for w in wavs:
         assert len(audio.read_wav(out / w)) == 3200  # 0.2 s at 16 kHz
     assert (out / "diagnostics.txt").exists()
+
+
+def test_resume_with_changed_batch_exit_2(corpus, tmp_path, capsys):
+    _, ckdir, manifest = train_toy(corpus, tmp_path)
+    capsys.readouterr()
+    toy = list(TOY)
+    toy[toy.index("--batch") + 1] = "3"
+    rc = main(["train", "--manifest", str(manifest), "--ckpt-dir", str(ckdir), *toy,
+               "--iters", "6", "--seed", "0", "--resume", str(ckdir / "ckpt_00000004.srnn")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "batch_size 2 -> 3" in err and "ckpt_00000004.srnn" in err
+
+
+def test_generate_ckpt_equals_ckpt_dir_of_that_checkpoint(corpus, tmp_path, capsys):
+    _, ckdir, _ = train_toy(corpus, tmp_path)
+    only = tmp_path / "only"
+    only.mkdir()
+    (only / "ckpt_00000004.srnn").write_bytes((ckdir / "ckpt_00000004.srnn").read_bytes())
+    gen = ["--n-seq", "2", "--seconds", "0.2", "--seed", "7"]
+    assert main(["generate", "--ckpt", str(only / "ckpt_00000004.srnn"),
+                 "--out-dir", str(tmp_path / "one"), *gen]) == 0
+    assert main(["generate", "--ckpt-dir", str(only), "--out-dir", str(tmp_path / "dir"), *gen]) == 0
+    names = sorted(os.listdir(tmp_path / "one"))
+    assert names == ["ckpt4_seq0.wav", "ckpt4_seq1.wav", "diagnostics.txt"]
+    assert sorted(os.listdir(tmp_path / "dir")) == names
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "dir" / name).read_bytes()
+
+
+HEADER = "#corpus_id=c seed=0 chunk_len=16000\n"
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("#corpus_id=c seed0 chunk_len=16000\n", 1, "'seed0' is not key=value"),
+    ("#seed=0 chunk_len=16000\n", 1, "header lacks corpus_id"),
+    ("#corpus_id=c seed=0 chunk_len=1s\n", 1, "chunk_len '1s' is not an integer"),
+    ("corpus_id=c seed=0 chunk_len=16000\n", 1, "missing manifest header line"),
+    (HEADER + "0\ta.wav\tzero\ttrain\n", 2, "offset_samples 'zero' is not an integer"),
+    (HEADER + "0\ta.wav\t0\ttrain\nx\ta.wav\t0\ttrain\n", 3, "chunk_id 'x' is not an integer"),
+    (HEADER + "0\ta.wav\t0\n", 2, "3 tab-separated fields, expected 4"),
+    (HEADER + "0\ta.wav\t0\tholdout\n", 2, "bad split tag 'holdout'"),
+])
+def test_malformed_manifest_exit_2(tmp_path, capsys, text, line, what):
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(text)
+    rc = main(["split", "--manifest", str(manifest)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}:{line}: " in err and what in err
 
 
 def test_generate_missing_checkpoint_exit_2(tmp_path, capsys):

@@ -101,15 +101,18 @@ def test_generated_clip_shape_and_range():
 
 
 def test_batch_independence_across_sizes():
-    model = toy_model(seed=15)
-    outs = {}
-    for n_seq in (1, 3, 10):
-        clips = generate_batch(model, GenConfig(n_seq=n_seq, clip_seconds=0.005, seed=9))
-        outs[n_seq] = [c.samples for c in clips]
-    for n_seq in (3, 10):
-        assert np.array_equal(outs[1][0], outs[n_seq][0])
-    for k in range(3):
-        assert np.array_equal(outs[3][k], outs[10][k])
+    # toy widths; learned h0, and randomized h0 drawn per stream over 2 LSTM layers
+    for h0_mode in ("learned", "randomized"):
+        model = toy_model(seed=15, h0_mode=h0_mode)
+        assert model.config.n_layers == 2
+        outs = {}
+        for n_seq in (1, 3, 10):
+            clips = generate_batch(model, GenConfig(n_seq=n_seq, clip_seconds=0.005, seed=9))
+            outs[n_seq] = [c.samples for c in clips]
+        for n_seq in (3, 10):
+            assert np.array_equal(outs[1][0], outs[n_seq][0]), h0_mode
+        for k in range(3):
+            assert np.array_equal(outs[3][k], outs[10][k]), h0_mode
 
 
 def test_generation_determinism_bitwise_wav(tmp_path):

@@ -7,6 +7,7 @@ from samplernn import autodiff as ad
 from samplernn.autodiff import Tensor
 from samplernn.errors import ContractError, FramingError, ShapeError
 from samplernn.model import (
+    H0_RANDOM_STD,
     CellWeights,
     ModelConfig,
     dequantize,
@@ -276,6 +277,34 @@ def test_model_state_threading_full(rng):
         state = out.state.detached()
     seg = np.concatenate(parts, axis=1)
     assert np.abs(whole - seg).max() <= 1e-5
+
+
+def test_randomized_initial_state_equals_block_draws():
+    # one Generator for the batch: every h layer as one [B, H] block, then
+    # every c layer, exactly as training always drew them
+    model = init_params(toy_config(seed=4, n_layers=3, h0_mode="randomized"))
+    b, hid = 5, model.config.hidden_dim
+    state = model.initial_state(b, rng=np.random.Generator(np.random.PCG64(21)))
+    ref = np.random.Generator(np.random.PCG64(21))
+    h = [ref.normal(0.0, H0_RANDOM_STD, (b, hid)).astype(np.float32) for _ in range(3)]
+    c = [ref.normal(0.0, H0_RANDOM_STD, (b, hid)).astype(np.float32) for _ in range(3)]
+    for got, want in zip(state.rnn.h + state.rnn.c, h + c):
+        assert got.data.dtype == np.float32
+        assert got.data.tobytes() == want.tobytes()
+
+
+def test_randomized_initial_state_per_row_streams():
+    model = init_params(toy_config(seed=4, h0_mode="randomized"))
+
+    def streams(seeds):
+        return [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+
+    pair = model.initial_state(2, rng=streams([7, 8])).rnn
+    solo = model.initial_state(1, rng=streams([8])).rnn
+    for a, s in zip(pair.h + pair.c, solo.h + solo.c):
+        assert np.array_equal(a.data[1:], s.data)
+    with pytest.raises(ContractError):
+        model.initial_state(3, rng=streams([7, 8]))
 
 
 # -- init ---------------------------------------------------------------------

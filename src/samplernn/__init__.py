@@ -18,7 +18,7 @@ from .checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from .config import RunConfig, build_run_config, load_config_file
+from .config import RunConfig, TrainConfig, build_run_config, load_config_file
 from .diagnostics import (
     DiagnosticsReport,
     detect_loop_trap,
@@ -48,7 +48,6 @@ from .model import (
 from .training import (
     Adam,
     ChunkDataset,
-    TrainConfig,
     clip_gradients,
     tbptt_step,
     train_loop,

@@ -8,6 +8,7 @@ manifest so every chunk can be re-read from its source.
 
 from __future__ import annotations
 
+import io
 import wave
 from dataclasses import dataclass, field
 
@@ -212,12 +213,28 @@ def _manifest_int(path, lineno, name, text):
         raise ContractError(f"{path}:{lineno}: {name} {text!r} is not an integer") from None
 
 
+def open_text(path, error):
+    """A UTF-8 text file as an in-memory file with universal newlines.
+
+    Bytes that are not UTF-8 raise `error` naming the file and line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})") from None
+    return io.StringIO(text, newline=None)
+
+
 def load_manifest(path):
     """Read a manifest written by save_manifest.
 
-    A malformed header or row raises ContractError naming the file and line.
+    A malformed header or row, or bytes that are not UTF-8, raise
+    ContractError naming the file and line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ContractError) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ContractError(f"{path}:1: missing manifest header line")

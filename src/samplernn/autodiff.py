@@ -69,15 +69,9 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
     def detach(self):
         """Same values, no history; gradients stop here."""
         return Tensor(self.data)
-
-    def backward(self):
-        backward(self)
 
     def _accum(self, g, own=False):
         if self.grad is None:

@@ -15,7 +15,6 @@ trajectory exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import struct
@@ -24,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError
-from .model import ModelConfig, ModelState, RecurrentState, CELL_LSTM
+from . import config
 from .autodiff import Tensor
+from .errors import CheckpointError, ConfigError, ContractError
+from .model import CELL_LSTM, ModelConfig, ModelState, RecurrentState, init_params
 
 MAGIC = b"SRNNCKPT"
 VERSION = 1
@@ -42,7 +42,7 @@ def checkpoint_path(directory, iteration):
 @dataclass
 class Checkpoint:
     model_config: ModelConfig
-    train_config: object
+    train_config: config.TrainConfig
     iteration: int
     params: dict
     extra_arrays: dict  # adam.m.*, adam.v.*, carry.*
@@ -93,59 +93,16 @@ def carry_to_state(ck, model):
 
 def model_from_checkpoint(ck):
     """Instantiate a model with the checkpoint's exact parameter bytes."""
-    from .model import init_params
-
     dtype = next(iter(ck.params.values())).dtype
     model = init_params(ck.model_config, dtype=dtype)
     model.params.load_arrays(ck.params)
     return model
 
 
-# -- field (de)serialization -------------------------------------------------
-
-
-def _encode_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _decode_value(text, kind):
-    if kind is bool:
-        if text not in ("true", "false"):
-            raise CheckpointError(f"bad boolean {text!r}")
-        return text == "true"
-    return kind(text)
-
-
-def _encode_config(prefix, cfg):
-    return [
-        f"{prefix}.{f.name}={_encode_value(getattr(cfg, f.name))}"
-        for f in dataclasses.fields(cfg)
-    ]
-
-
-def _decode_config(cls, prefix, mapping):
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        key = f"{prefix}.{f.name}"
-        if key not in mapping:
-            raise CheckpointError(f"header missing {key}")
-        kwargs[f.name] = _decode_value(mapping[key], type(f.default))
-    return cls(**kwargs)
-
-
 def _write_record(out, name, arr):
     arr = np.ascontiguousarray(arr)
-    if arr.dtype == np.float32:
-        arr = arr.astype("<f4", copy=False)
-    elif arr.dtype == np.float64:
-        arr = arr.astype("<f8", copy=False)
-    elif arr.dtype == np.int64:
-        arr = arr.astype("<i8", copy=False)
-    else:
+    arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+    if arr.dtype not in _DTYPE_TAGS:
         raise CheckpointError(f"unsupported dtype {arr.dtype} for record {name!r}")
     name_b = name.encode("utf-8")
     out.append(struct.pack("<I", len(name_b)))
@@ -157,8 +114,7 @@ def _write_record(out, name, arr):
 
 def save_checkpoint(path, ck):
     """Serialize atomically (temp file + rename); round-trips bitwise."""
-    header_lines = _encode_config("model", ck.model_config)
-    header_lines += _encode_config("train", ck.train_config)
+    header_lines = config.RunConfig(ck.model_config, ck.train_config).echo_lines()
     header_lines.append(f"iteration={ck.iteration}")
     header_lines.append(f"adam.step={ck.adam_step}")
     st = ck.rng_state
@@ -167,7 +123,7 @@ def save_checkpoint(path, ck):
     header_lines.append(f"rng.has_uint32={st['has_uint32']}")
     header_lines.append(f"rng.uinteger={st['uinteger']}")
     header_lines.append(
-        "val_history=" + ",".join(f"{i}:{_encode_value(float(b))}" for i, b in ck.val_history)
+        "val_history=" + ",".join(f"{i}:{float(b)!r}" for i, b in ck.val_history)
     )
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
 
@@ -192,6 +148,11 @@ def save_checkpoint(path, ck):
         raise
 
 
+def _parse_val_history(text):
+    pairs = [item.partition(":") for item in text.split(",")] if text else []
+    return [(int(i), float(b)) for i, _, b in pairs]
+
+
 class _Reader:
     def __init__(self, data, path):
         self.data = data
@@ -213,10 +174,9 @@ def load_checkpoint(path):
     """Parse and verify a checkpoint file.
 
     Raises CheckpointError on bad magic, version mismatch, digest mismatch,
-    or truncation; a corrupted file never yields partial parameters.
+    truncation, or a missing or bad header field (naming the file and the
+    key); a corrupted file never yields partial parameters.
     """
-    from .training import TrainConfig
-
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -236,7 +196,8 @@ def load_checkpoint(path):
     if version != VERSION:
         raise CheckpointError(f"{path}: version {version} unsupported (expected {VERSION})")
     (header_len,) = struct.unpack("<Q", rd.take(8))
-    header = rd.take(header_len).decode("utf-8")
+    # a byte that is not UTF-8 becomes U+FFFD, which no field's parser accepts
+    header = rd.take(header_len).decode("utf-8", errors="replace")
     mapping = {}
     for line in header.splitlines():
         if not line:
@@ -244,19 +205,34 @@ def load_checkpoint(path):
         key, _, value = line.partition("=")
         mapping[key] = value
 
-    model_cfg = _decode_config(ModelConfig, "model", mapping)
-    train_cfg = _decode_config(TrainConfig, "train", mapping)
+    try:
+        run = config.parse_run_config(mapping)
+    except (ConfigError, ContractError) as exc:
+        raise CheckpointError(f"{path}: header: {exc}") from exc
+
+    def field(key, parse=int):
+        if key not in mapping:
+            raise CheckpointError(f"{path}: header missing {key}")
+        try:
+            return parse(mapping[key])
+        except ValueError as exc:
+            raise CheckpointError(
+                f"{path}: header {key}={mapping[key]!r} is not valid ({exc})"
+            ) from exc
+
     rng_state = {
         "bit_generator": "PCG64",
-        "state": {"state": int(mapping["rng.state"]), "inc": int(mapping["rng.inc"])},
-        "has_uint32": int(mapping["rng.has_uint32"]),
-        "uinteger": int(mapping["rng.uinteger"]),
+        "state": {"state": field("rng.state"), "inc": field("rng.inc")},
+        "has_uint32": field("rng.has_uint32"),
+        "uinteger": field("rng.uinteger"),
     }
-    val_history = []
-    if mapping.get("val_history"):
-        for item in mapping["val_history"].split(","):
-            i, _, b = item.partition(":")
-            val_history.append((int(i), float(b)))
+    try:
+        np.random.PCG64().state = rng_state
+    except (ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: header rng.* is not a PCG64 state ({exc})") from exc
+    iteration = field("iteration")
+    adam_step = field("adam.step")
+    val_history = field("val_history", _parse_val_history)
 
     params = {}
     extras = {}
@@ -276,12 +252,5 @@ def load_checkpoint(path):
             extras[name] = arr
 
     return Checkpoint(
-        model_cfg,
-        train_cfg,
-        int(mapping["iteration"]),
-        params,
-        extras,
-        int(mapping["adam.step"]),
-        rng_state,
-        val_history,
+        run.model, run.train, iteration, params, extras, adam_step, rng_state, val_history
     )

@@ -14,7 +14,7 @@ import sys
 
 from . import audio
 from .config import build_run_config
-from .checkpoint import load_checkpoint, model_from_checkpoint
+from .checkpoint import load_checkpoint
 from .diagnostics import diagnose_clip
 from .errors import DivergenceError, EmptyCorpusError, SampleRnnError
 from .generate import GenConfig, checkpoint_generation_schedule, write_checkpoint_clips
@@ -90,13 +90,9 @@ def cmd_train(args):
     train_codes = dataset.codes("train")
     val_codes = dataset.codes("validation")
 
-    if args.resume:
-        ck = load_checkpoint(args.resume)
-        model = model_from_checkpoint(ck)
-        run.model = ck.model_config
-    else:
-        model = init_params(run.model)
-
+    # a resume loads the checkpoint's parameters into this model, and
+    # refuses one whose config differs from the checkpoint's
+    model = init_params(run.model)
     os.makedirs(args.ckpt_dir, exist_ok=True)
     metrics = args.metrics or os.path.join(args.ckpt_dir, "metrics.log")
     try:
@@ -197,23 +193,9 @@ def build_parser():
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--preset", choices=["paper", "desk"])
     p.add_argument("--resume", help="checkpoint to resume from")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--cell", choices=["lstm", "gru"])
-    p.add_argument("--dim", type=int)
-    p.add_argument("--embed", type=int)
-    p.add_argument("--frame", type=int)
-    p.add_argument("--q-levels", type=int, dest="q_levels")
-    p.add_argument("--rate", type=int)
-    p.add_argument("--h0-mode", choices=["learned", "randomized"], dest="h0_mode")
-    p.add_argument("--model-seed", type=int, dest="model_seed")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--tbptt", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--clip-norm", type=float, dest="clip_norm")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-    p.add_argument("--validate-every", type=int, dest="validate_every")
-    p.add_argument("--seed", type=int)
+    # values stay text: the config parser types and checks them
+    for attr, key in _TRAIN_OVERRIDES.items():
+        p.add_argument("--" + attr.replace("_", "-"), dest=attr, help=f"sets {key}")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="sample clips from checkpoints")

@@ -1,9 +1,11 @@
-"""Run configuration: key=value files, presets, and override merging.
+"""Run configuration: the one owner of the `model.*`/`train.*` key=value text.
 
-Config files are plain text, one `key = value` per line, `#` comments, with
-keys namespaced model.* and train.*. Unknown keys are hard errors; every
-effective value can be echoed into the metrics log header so a run is
-reproducible from its log alone.
+Config files hold one `key = value` per line with `#` comments; unknown keys
+are hard errors. The `train` command's flags reach `build_run_config` as text
+and go through the same parser. `RunConfig.echo_lines` writes both the metrics
+log header and the checkpoint header, and `parse_run_config` reads a
+checkpoint's config back, requiring every key. A resume refuses a changed
+`model.*` key and a changed `train.*` key outside RESUMABLE_KEYS.
 """
 
 from __future__ import annotations
@@ -11,9 +13,31 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .audio import open_text
+from .errors import ConfigError, ContractError
 from .model import ModelConfig
-from .training import TrainConfig
+
+
+@dataclass
+class TrainConfig:
+    batch_size: int = 128
+    tbptt_len: int = 512
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    clip_norm: float = 1.0
+    max_iterations: int = 2000
+    checkpoint_every: int = 500
+    validate_every: int = 100
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.tbptt_len < 1:
+            raise ContractError(f"tbptt_len must be >= 1, got {self.tbptt_len}")
+
 
 _SECTIONS = {
     "model": ModelConfig,
@@ -21,15 +45,28 @@ _SECTIONS = {
 }
 
 
-def _known_keys():
-    keys = {}
-    for section, cls in _SECTIONS.items():
-        for f in dataclasses.fields(cls):
-            keys[f"{section}.{f.name}"] = type(f.default)
-    return keys
+@dataclass
+class RunConfig:
+    model: ModelConfig
+    train: TrainConfig
+
+    def values(self):
+        """{key: value} for every key of KEY_TYPES, in its order."""
+        return {
+            f"{section}.{f.name}": getattr(getattr(self, section), f.name)
+            for section, cls in _SECTIONS.items()
+            for f in dataclasses.fields(cls)
+        }
+
+    def echo_lines(self):
+        return [f"{key}={_format_value(v)}" for key, v in self.values().items()]
 
 
-KEY_TYPES = _known_keys()
+KEY_TYPES = {key: type(v) for key, v in RunConfig(ModelConfig(), TrainConfig()).values().items()}
+
+# keys a resume may change: they set where the run stops and what it writes
+# on the way, not the trajectory
+RESUMABLE_KEYS = ("train.max_iterations", "train.checkpoint_every", "train.validate_every")
 
 PRESETS = {
     # the architecture scale the headline runs used
@@ -81,10 +118,16 @@ def parse_value(key, text):
         raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
 
 
+def _format_value(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
 def load_config_file(path):
     """Parse a key=value file into {key: raw string}. Unknown keys error."""
     raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -99,21 +142,31 @@ def load_config_file(path):
     return raw
 
 
-@dataclass
-class RunConfig:
-    model: ModelConfig
-    train: TrainConfig
+def resume_changes(saved, wanted):
+    """'key old -> new' for each key outside RESUMABLE_KEYS whose value differs."""
+    old, new = saved.values(), wanted.values()
+    return [
+        f"{key} {_format_value(old[key])} -> {_format_value(new[key])}"
+        for key in KEY_TYPES
+        if key not in RESUMABLE_KEYS and old[key] != new[key]
+    ]
 
-    def echo_lines(self):
-        lines = []
-        for section, cls in _SECTIONS.items():
-            obj = getattr(self, section)
-            for f in dataclasses.fields(cls):
-                v = getattr(obj, f.name)
-                if isinstance(v, bool):
-                    v = "true" if v else "false"
-                lines.append(f"{section}.{f.name}={v}")
-        return lines
+
+def _typed_run_config(texts):
+    kwargs = {section: {} for section in _SECTIONS}
+    for key, text in texts.items():
+        section, _, name = key.partition(".")
+        kwargs[section][name] = parse_value(key, text)
+    return RunConfig(ModelConfig(**kwargs["model"]), TrainConfig(**kwargs["train"]))
+
+
+def parse_run_config(mapping):
+    """RunConfig from {key: text} holding every key of KEY_TYPES, as
+    echo_lines writes them (a checkpoint header). Other keys are ignored."""
+    missing = [key for key in KEY_TYPES if key not in mapping]
+    if missing:
+        raise ConfigError(f"missing config key(s) {', '.join(missing)}")
+    return _typed_run_config({key: mapping[key] for key in KEY_TYPES})
 
 
 def build_run_config(preset=None, config_file=None, overrides=None):
@@ -128,10 +181,5 @@ def build_run_config(preset=None, config_file=None, overrides=None):
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        merged[key] = str(value)
-
-    kwargs = {section: {} for section in _SECTIONS}
-    for key, text in merged.items():
-        section, _, name = key.partition(".")
-        kwargs[section][name] = parse_value(key, text)
-    return RunConfig(ModelConfig(**kwargs["model"]), TrainConfig(**kwargs["train"]))
+        merged[key] = _format_value(value)
+    return _typed_run_config(merged)

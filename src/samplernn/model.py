@@ -166,7 +166,6 @@ class ForwardResult:
     targets: np.ndarray  # [B*P]
     batch: int
     count: int  # P = predicted positions per row
-    start: int  # first predicted position within the segment
     state: ModelState
 
     def logits_per_position(self):
@@ -374,7 +373,7 @@ class SampleRnnModel:
             prev_codes=codes[:, -fs:].copy(),
             prev_cond=cond.data[:, t_steps - 1].copy(),
         )
-        return ForwardResult(logits, targets, b, count, start, new_state)
+        return ForwardResult(logits, targets, b, count, new_state)
 
 
 def model_forward_nll(model, codes, state):

@@ -9,7 +9,6 @@ index), which is what makes resuming from a checkpoint exact.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -18,34 +17,11 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from .audio import read_wav
+from .config import RunConfig, TrainConfig, resume_changes  # noqa: F401 (re-export)
 from .errors import ContractError, DivergenceError
 from .model import model_forward_nll, quantize
 
 LN2 = float(np.log(2.0))
-# TrainConfig fields a resume may change: they set where the run stops and
-# what it writes on the way, not the trajectory
-RESUMABLE_FIELDS = ("max_iterations", "checkpoint_every", "validate_every")
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 128
-    tbptt_len: int = 512
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 1.0
-    max_iterations: int = 2000
-    checkpoint_every: int = 500
-    validate_every: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.tbptt_len < 1:
-            raise ContractError(f"tbptt_len must be >= 1, got {self.tbptt_len}")
 
 
 class Adam:
@@ -270,15 +246,12 @@ def train_loop(
 
     if resume_from is not None:
         ck = ckpt_io.load_checkpoint(resume_from)
-        changed = [
-            f"{f.name} {getattr(ck.train_config, f.name)!r} -> {getattr(cfg, f.name)!r}"
-            for f in dataclasses.fields(cfg)
-            if f.name not in RESUMABLE_FIELDS
-            and getattr(ck.train_config, f.name) != getattr(cfg, f.name)
-        ]
+        changed = resume_changes(
+            RunConfig(ck.model_config, ck.train_config), RunConfig(model.config, cfg)
+        )
         if changed:
             raise ContractError(
-                f"{resume_from}: cannot resume with a changed train config: {', '.join(changed)}"
+                f"{resume_from}: cannot resume with a changed config: {', '.join(changed)}"
             )
         model.params.load_arrays(ck.params)
         optimizer.load_state_arrays(ck.extra_arrays, ck.adam_step)

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,8 @@ from samplernn.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from samplernn.errors import CheckpointError
+from samplernn.cli import main
+from samplernn.errors import CheckpointError, ContractError
 from samplernn.model import init_params, quantize
 from samplernn.training import Adam, TrainConfig, train_loop
 from samplernn.generate import GenConfig, generate_batch
@@ -99,14 +103,21 @@ def test_version_mismatch_is_explicit(tmp_path):
     raw = bytearray(open(path, "rb").read())
     raw[8:12] = (99).to_bytes(4, "little")  # bump the version field
     # recompute the digest so only the version check can fail
-    import hashlib
-
     body = bytes(raw[:-8])
     raw[-8:] = hashlib.blake2b(body, digest_size=8).digest()
     open(path, "wb").write(bytes(raw))
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
     assert "version" in str(err.value)
+
+
+@pytest.mark.parametrize("dtype", ["<i4", ">i4", "u1", "?", "<f2"])
+def test_unsupported_dtype_is_rejected(tmp_path, dtype):
+    _, ck = fresh_checkpoint()
+    ck.extra_arrays["carry.bad"] = np.zeros(3, dtype=dtype)
+    with pytest.raises(CheckpointError, match="for record 'carry.bad'"):
+        save_checkpoint(checkpoint_path(tmp_path, 40), ck)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_resume_equivalence(tmp_path):
@@ -148,3 +159,59 @@ def test_generation_from_saved_equals_live_model(tmp_path):
     loaded = generate_batch(rebuilt, cfg)
     for a, b in zip(live, loaded):
         assert np.array_equal(a.samples, b.samples)
+
+
+def rewrite_header(path, key, value):
+    """Set one header line (drop it when value is None) and re-seal the digest."""
+    raw = open(path, "rb").read()
+    (n,) = struct.unpack("<Q", raw[12:20])
+    text = raw[20 : 20 + n].decode()
+    lines = [l for l in text.splitlines() if l.partition("=")[0] != key]
+    if value is not None:
+        lines.append(f"{key}={value}")
+    header = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+    body = raw[:12] + struct.pack("<Q", len(header)) + header + raw[20 + n : -8]
+    open(path, "wb").write(body + hashlib.blake2b(body, digest_size=8).digest())
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("model.hidden_dim", "8x", "bad value for model.hidden_dim: '8x'"),
+    ("model.hidden_dim", "6\udcff4", "bad value for model.hidden_dim: '6\ufffd4'"),
+    ("model.weight_norm", "yes", "bad value for model.weight_norm: 'yes'"),
+    ("model.cell", "foo", "cell must be lstm or gru, got 'foo'"),
+    ("train.lr", "fast", "bad value for train.lr: 'fast'"),
+    ("train.seed", None, "missing config key(s) train.seed"),
+    ("iteration", "three", "header iteration='three' is not valid"),
+    ("iteration", None, "header missing iteration"),
+    ("adam.step", "1.5", "header adam.step='1.5' is not valid"),
+    ("rng.inc", "x", "header rng.inc='x' is not valid"),
+    ("rng.uinteger", "-1", "header rng.* is not a PCG64 state"),
+    ("val_history", "20:3.5,40", "header val_history='20:3.5,40' is not valid"),
+    ("val_history", None, "header missing val_history"),
+])
+def test_bad_header_field_is_checkpoint_error(tmp_path, capsys, key, value, what):
+    _, ck = fresh_checkpoint()
+    path = checkpoint_path(tmp_path, 40)
+    save_checkpoint(path, ck)
+    rewrite_header(path, key, value)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ") and what in str(err.value)
+    rc = main(["generate", "--ckpt", path, "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_resume_refuses_changed_model_config(tmp_path):
+    wave = make_tone(60.0, 4 * 64 / 16000.0)
+    train = quantize(wave, 16).reshape(4, 64)
+    cfg = TrainConfig(batch_size=2, tbptt_len=16, max_iterations=2, checkpoint_every=2,
+                      validate_every=0)
+    train_loop(init_params(toy_config(seed=33)), cfg, train, train[:1], str(tmp_path))
+    cfg.max_iterations = 4
+    model = init_params(toy_config(seed=33, sample_rate=8000))
+    with pytest.raises(ContractError) as err:
+        train_loop(model, cfg, train, train[:1], str(tmp_path),
+                   resume_from=checkpoint_path(tmp_path, 2))
+    assert "model.sample_rate 16000 -> 8000" in str(err.value)
+    assert not (tmp_path / "ckpt_00000004.srnn").exists()

@@ -68,6 +68,11 @@ def test_overrides_beat_file_and_preset(tmp_path):
     assert run.model.n_layers == 7
 
 
+def test_typed_overrides_go_through_the_echo_format():
+    run = build_run_config(overrides={"model.weight_norm": False, "train.lr": 0.25})
+    assert run.model.weight_norm is False and run.train.lr == 0.25
+
+
 def test_echo_lines_cover_every_key():
     run = build_run_config(preset="desk")
     lines = run.echo_lines()
@@ -181,16 +186,27 @@ def test_generate_flag_mapping(corpus, tmp_path, capsys):
     assert (out / "diagnostics.txt").exists()
 
 
-def test_resume_with_changed_batch_exit_2(corpus, tmp_path, capsys):
+def resume_toy_with(corpus, tmp_path, capsys, flag, value):
+    """Train the toy run, then resume it with one flag changed; returns (rc, stderr)."""
     _, ckdir, manifest = train_toy(corpus, tmp_path)
     capsys.readouterr()
     toy = list(TOY)
-    toy[toy.index("--batch") + 1] = "3"
+    toy[toy.index(flag) + 1] = value
     rc = main(["train", "--manifest", str(manifest), "--ckpt-dir", str(ckdir), *toy,
                "--iters", "6", "--seed", "0", "--resume", str(ckdir / "ckpt_00000004.srnn")])
+    return rc, capsys.readouterr().err
+
+
+def test_resume_with_changed_batch_exit_2(corpus, tmp_path, capsys):
+    rc, err = resume_toy_with(corpus, tmp_path, capsys, "--batch", "3")
     assert rc == 2
-    err = capsys.readouterr().err
     assert "batch_size 2 -> 3" in err and "ckpt_00000004.srnn" in err
+
+
+def test_resume_with_changed_model_flag_exit_2(corpus, tmp_path, capsys):
+    rc, err = resume_toy_with(corpus, tmp_path, capsys, "--dim", "16")
+    assert rc == 2
+    assert "model.hidden_dim 8 -> 16" in err and "ckpt_00000004.srnn" in err
 
 
 def test_generate_ckpt_equals_ckpt_dir_of_that_checkpoint(corpus, tmp_path, capsys):
@@ -221,14 +237,30 @@ HEADER = "#corpus_id=c seed=0 chunk_len=16000\n"
     (HEADER + "0\ta.wav\t0\ttrain\nx\ta.wav\t0\ttrain\n", 3, "chunk_id 'x' is not an integer"),
     (HEADER + "0\ta.wav\t0\n", 2, "3 tab-separated fields, expected 4"),
     (HEADER + "0\ta.wav\t0\tholdout\n", 2, "bad split tag 'holdout'"),
+    (HEADER + "0\ta\udcff.wav\t0\ttrain\n", 2, "not UTF-8 text (byte 0xff)"),
 ])
 def test_malformed_manifest_exit_2(tmp_path, capsys, text, line, what):
     manifest = tmp_path / "m.tsv"
-    manifest.write_text(text)
+    manifest.write_bytes(text.encode("utf-8", "surrogateescape"))
     rc = main(["split", "--manifest", str(manifest)])
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{manifest}:{line}: " in err and what in err
+
+
+@pytest.mark.parametrize("flags, what", [
+    (["--batch", "x"], "bad value for train.batch_size: 'x'"),
+    (["--cell", "foo"], "cell must be lstm or gru, got 'foo'"),
+    (["--config", "{cfg}"], "{cfg}:2: not UTF-8 text (byte 0xff)"),
+])
+def test_bad_train_config_exit_2(tmp_path, capsys, flags, what):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"model.n_layers = 2\ntrain.lr = 0.\xff1\n")
+    rc = main(["train", "--manifest", str(tmp_path / "m.tsv"), "--ckpt-dir", str(tmp_path / "ck"),
+               *[f.format(cfg=cfg) for f in flags]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and what.format(cfg=cfg) in err
 
 
 def test_generate_missing_checkpoint_exit_2(tmp_path, capsys):

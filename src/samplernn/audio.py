@@ -80,8 +80,8 @@ def read_wav(path):
     """Read a 16-bit mono PCM WAV into an AudioBuffer.
 
     Samples are mapped to [-1, 1] by dividing by 32768. Malformed containers
-    raise AudioFormatError; readable files that are not 16-bit mono PCM raise
-    UnsupportedFormatError naming the offending field.
+    raise AudioFormatError; readable files that are not 16-bit mono PCM at a
+    positive rate raise UnsupportedFormatError naming the offending field.
     """
     try:
         with open(path, "rb") as fh, wave.open(fh, "rb") as w:
@@ -100,6 +100,8 @@ def read_wav(path):
         raise UnsupportedFormatError(f"{path}: {channels} channels, expected mono")
     if width != 2:
         raise UnsupportedFormatError(f"{path}: sample width {8 * width} bits, expected 16")
+    if rate == 0:
+        raise UnsupportedFormatError(f"{path}: sample rate 0, expected a positive rate")
     pcm = np.frombuffer(frames, dtype="<i2")
     return AudioBuffer(pcm.astype(np.float32) / 32768.0, rate)
 

@@ -3,9 +3,11 @@
 Layout: magic `SRNNCKPT`, u32 version, u64 header length, a plain-text
 header of key=value lines (configs, iteration, optimizer step, PRNG state,
 validation history), then length-prefixed per-array records, and finally a
-64-bit digest of all preceding bytes. Loads verify magic, version, and
-digest before touching any payload; writes go through a temp file and an
-atomic rename.
+64-bit digest of all preceding bytes. A save streams every record's own
+bytes through one incremental digest into a temp file, then renames it
+atomically. A load reads the file into one buffer and verifies magic,
+version, and digest before touching any payload; every record is a
+read-only view into that buffer, which `Checkpoint.restore` copies from.
 
 Besides parameters and Adam moments, a checkpoint stores the training
 carry state (per-layer recurrent vectors plus the last frame's codes and
@@ -16,6 +18,7 @@ trajectory exactly.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import struct
 import tempfile
@@ -26,7 +29,7 @@ import numpy as np
 from . import config
 from .autodiff import Tensor
 from .errors import CheckpointError, ConfigError, ContractError
-from .model import CELL_LSTM, ModelConfig, ModelState, RecurrentState, init_params
+from .model import ModelConfig, ModelState, RecurrentState, init_params
 
 MAGIC = b"SRNNCKPT"
 VERSION = 1
@@ -52,7 +55,10 @@ class Checkpoint:
 
     @classmethod
     def capture(cls, model, train_cfg, iteration, optimizer, rng, val_history, carry_state):
-        extras = dict(optimizer.state_arrays())
+        extras = {}
+        for name in model.params.names():
+            extras[f"adam.m.{name}"] = optimizer.m[name]
+            extras[f"adam.v.{name}"] = optimizer.v[name]
         if carry_state is not None:
             for l, h in enumerate(carry_state.rnn.h):
                 extras[f"carry.h{l}"] = h.data
@@ -73,22 +79,30 @@ class Checkpoint:
             list(val_history),
         )
 
-
-def carry_to_state(ck, model):
-    """Rebuild the training carry ModelState stored in a checkpoint, if any."""
-    ex = ck.extra_arrays
-    if "carry.h0" not in ex:
-        return None
-    n = model.config.n_layers
-    h = [Tensor(ex[f"carry.h{l}"]) for l in range(n)]
-    c = None
-    if model.config.cell == CELL_LSTM:
-        c = [Tensor(ex[f"carry.c{l}"]) for l in range(n)]
-    return ModelState(
-        RecurrentState(h, c),
-        prev_codes=ex.get("carry.prev_codes"),
-        prev_cond=ex.get("carry.prev_cond"),
-    )
+    def restore(self, model, optimizer, rng):
+        """Load parameters, Adam moments and step, and PRNG state into live
+        training objects; return the carried ModelState, or None. Everything
+        handed on is a copy: the records are read-only, possibly unaligned
+        views, and Adam updates its moments in place."""
+        ex = self.extra_arrays
+        model.params.load_arrays(self.params)
+        for name in model.params.names():
+            optimizer.m[name] = ex[f"adam.m.{name}"].copy()
+            optimizer.v[name] = ex[f"adam.v.{name}"].copy()
+        optimizer.step_count = self.adam_step
+        rng.bit_generator.state = self.rng_state
+        carry = {name: arr.copy() for name, arr in ex.items() if name.startswith("carry.")}
+        if "carry.h0" not in carry:
+            return None
+        layers = range(model.config.n_layers)
+        return ModelState(
+            RecurrentState(
+                [Tensor(carry[f"carry.h{l}"]) for l in layers],
+                [Tensor(carry[f"carry.c{l}"]) for l in layers] if "carry.c0" in carry else None,
+            ),
+            prev_codes=carry.get("carry.prev_codes"),
+            prev_cond=carry.get("carry.prev_cond"),
+        )
 
 
 def model_from_checkpoint(ck):
@@ -99,21 +113,24 @@ def model_from_checkpoint(ck):
     return model
 
 
-def _write_record(out, name, arr):
-    arr = np.ascontiguousarray(arr)
-    arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    if arr.dtype not in _DTYPE_TAGS:
-        raise CheckpointError(f"unsupported dtype {arr.dtype} for record {name!r}")
-    name_b = name.encode("utf-8")
-    out.append(struct.pack("<I", len(name_b)))
-    out.append(name_b)
-    out.append(struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim))
-    out.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-    out.append(arr.tobytes())
+def _records(ck):
+    """Each record's header, then its payload as a byte view of the array."""
+    params = ((f"param.{name}", arr) for name, arr in ck.params.items())
+    for name, arr in itertools.chain(params, ck.extra_arrays.items()):
+        arr = np.ascontiguousarray(arr)
+        arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+        if arr.dtype not in _DTYPE_TAGS:
+            raise CheckpointError(f"unsupported dtype {arr.dtype} for record {name!r}")
+        name_b = name.encode("utf-8")
+        yield struct.pack(
+            f"<I{len(name_b)}sBB{arr.ndim}Q",
+            len(name_b), name_b, _DTYPE_TAGS[arr.dtype], arr.ndim, *arr.shape,
+        )
+        yield arr.reshape(-1).view(np.uint8)
 
 
 def save_checkpoint(path, ck):
-    """Serialize atomically (temp file + rename); round-trips bitwise."""
+    """Stream to a temp file, then rename it into place; round-trips bitwise."""
     header_lines = config.RunConfig(ck.model_config, ck.train_config).echo_lines()
     header_lines.append(f"iteration={ck.iteration}")
     header_lines.append(f"adam.step={ck.adam_step}")
@@ -127,20 +144,16 @@ def save_checkpoint(path, ck):
     )
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
 
-    parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(header)), header]
-    for name, arr in ck.params.items():
-        _write_record(parts, f"param.{name}", arr)
-    for name, arr in ck.extra_arrays.items():
-        _write_record(parts, name, arr)
-    body = b"".join(parts)
-    digest = hashlib.blake2b(body, digest_size=8).digest()
-
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(body)
-            fh.write(digest)
+            digest = hashlib.blake2b(digest_size=8)
+            head = MAGIC + struct.pack("<IQ", VERSION, len(header)) + header
+            for data in itertools.chain([head], _records(ck)):
+                digest.update(data)
+                fh.write(data)
+            fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -153,29 +166,13 @@ def _parse_val_history(text):
     return [(int(i), float(b)) for i, _, b in pairs]
 
 
-class _Reader:
-    def __init__(self, data, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n):
-        if self.pos + n > len(self.data):
-            raise CheckpointError(f"{self.path}: truncated file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def done(self):
-        return self.pos >= len(self.data)
-
-
 def load_checkpoint(path):
     """Parse and verify a checkpoint file.
 
     Raises CheckpointError on bad magic, version mismatch, digest mismatch,
     truncation, or a missing or bad header field (naming the file and the
-    key); a corrupted file never yields partial parameters.
+    key); a corrupted file never yields partial parameters. The file is read
+    once; every returned array is a read-only view into that one buffer.
     """
     try:
         with open(path, "rb") as fh:
@@ -184,20 +181,27 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: {exc}") from exc
     if len(raw) < len(MAGIC) + 4 + 8 + 8:
         raise CheckpointError(f"{path}: truncated file")
-    body, digest = raw[:-8], raw[-8:]
-    if body[: len(MAGIC)] != MAGIC:
+    body = memoryview(raw)[:-8]
+    if not raw.startswith(MAGIC):
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-    if hashlib.blake2b(body, digest_size=8).digest() != digest:
+    if hashlib.blake2b(body, digest_size=8).digest() != raw[-8:]:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
 
-    rd = _Reader(body, path)
-    rd.take(len(MAGIC))
-    (version,) = struct.unpack("<I", rd.take(4))
+    pos = len(MAGIC)
+
+    def take(n):  # a view into body, never a copy
+        nonlocal pos
+        if pos + n > len(body):
+            raise CheckpointError(f"{path}: truncated file")
+        pos += n
+        return body[pos - n : pos]
+
+    (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
         raise CheckpointError(f"{path}: version {version} unsupported (expected {VERSION})")
-    (header_len,) = struct.unpack("<Q", rd.take(8))
+    (header_len,) = struct.unpack("<Q", take(8))
     # a byte that is not UTF-8 becomes U+FFFD, which no field's parser accepts
-    header = rd.take(header_len).decode("utf-8", errors="replace")
+    header = str(take(header_len), "utf-8", "replace")
     mapping = {}
     for line in header.splitlines():
         if not line:
@@ -236,16 +240,16 @@ def load_checkpoint(path):
 
     params = {}
     extras = {}
-    while not rd.done():
-        (name_len,) = struct.unpack("<I", rd.take(4))
-        name = rd.take(name_len).decode("utf-8")
-        tag, ndim = struct.unpack("<BB", rd.take(2))
+    while pos < len(body):
+        (name_len,) = struct.unpack("<I", take(4))
+        name = str(take(name_len), "utf-8")
+        tag, ndim = struct.unpack("<BB", take(2))
         if tag not in _TAG_DTYPES:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} in record {name!r}")
-        shape = struct.unpack(f"<{ndim}Q", rd.take(8 * ndim))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         dtype = _TAG_DTYPES[tag]
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        arr = np.frombuffer(rd.take(count * dtype.itemsize), dtype=dtype).reshape(shape)
+        arr = np.frombuffer(take(count * dtype.itemsize), dtype=dtype).reshape(shape)
         if name.startswith("param."):
             params[name[len("param.") :]] = arr
         else:

@@ -16,7 +16,7 @@ from . import audio
 from .config import build_run_config
 from .checkpoint import load_checkpoint
 from .diagnostics import diagnose_clip
-from .errors import DivergenceError, EmptyCorpusError, SampleRnnError
+from .errors import ContractError, DivergenceError, EmptyCorpusError, SampleRnnError
 from .generate import GenConfig, checkpoint_generation_schedule, write_checkpoint_clips
 from .gradcheck import standard_checks
 from .model import init_params
@@ -141,14 +141,17 @@ def cmd_generate(args):
 def cmd_diagnose(args):
     for path in args.wavs:
         buf = audio.read_wav(path)
-        report = diagnose_clip(
-            buf,
-            clip_name=os.path.basename(path),
-            flatness_threshold=args.flatness_threshold,
-            trap_threshold=args.trap_threshold,
-            min_lag=args.min_lag,
-            max_lag=args.max_lag,
-        )
+        try:
+            report = diagnose_clip(
+                buf,
+                clip_name=os.path.basename(path),
+                flatness_threshold=args.flatness_threshold,
+                trap_threshold=args.trap_threshold,
+                min_lag=args.min_lag,
+                max_lag=args.max_lag,
+            )
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from None
         print(report.line())
     return EXIT_OK  # diagnostics inform, they do not gate
 

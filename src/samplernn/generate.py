@@ -150,20 +150,22 @@ def write_checkpoint_clips(ck, cfg, out_dir):
 def checkpoint_generation_schedule(ckpt_dir, cfg, out_dir):
     """Generate clips and diagnostics for every checkpoint in a directory.
 
-    Checkpoints are processed in iteration order; unreadable files are
-    skipped with a warning. Each checkpoint goes through
-    write_checkpoint_clips; the reports are returned in iteration order.
+    Files are walked in name order, which for train_loop's zero-padded
+    ckpt_<iteration>.srnn names is iteration order. Each checkpoint is
+    loaded when its turn comes and let go once write_checkpoint_clips is
+    done with it, so one checkpoint is in memory at a time. Unreadable files
+    are skipped with a warning. The reports are returned in file order.
     """
-    candidates = sorted(
-        os.path.join(ckpt_dir, f) for f in os.listdir(ckpt_dir) if f.endswith(".srnn")
-    )
-    loaded = []
-    for path in candidates:
+    reports = []
+    for name in sorted(f for f in os.listdir(ckpt_dir) if f.endswith(".srnn")):
+        path = os.path.join(ckpt_dir, name)
         try:
-            loaded.append(load_checkpoint(path))
+            ck = load_checkpoint(path)
         except CheckpointError as exc:
             log.warning("skipping unreadable checkpoint %s: %s", path, exc)
-    if not loaded:
+            continue
+        reports += write_checkpoint_clips(ck, cfg, out_dir)
+        del ck  # free its file buffer before the next load
+    if not reports:
         raise CheckpointError(f"no valid checkpoints in {ckpt_dir}")
-    loaded.sort(key=lambda ck: ck.iteration)
-    return [r for ck in loaded for r in write_checkpoint_clips(ck, cfg, out_dir)]
+    return reports

@@ -9,6 +9,7 @@ index), which is what makes resuming from a checkpoint exact.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -51,19 +52,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-    def state_arrays(self):
-        out = {}
-        for name in self.params.names():
-            out[f"adam.m.{name}"] = self.m[name]
-            out[f"adam.v.{name}"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays, step_count):
-        for name in self.params.names():
-            self.m[name] = np.array(arrays[f"adam.m.{name}"], copy=True)
-            self.v[name] = np.array(arrays[f"adam.v.{name}"], copy=True)
-        self.step_count = int(step_count)
 
 
 def clip_gradients(params, clip_norm):
@@ -221,8 +209,6 @@ def train_loop(
     every checkpoint_every iterations and once more at the end. Divergence
     aborts with the last-good checkpoint path attached.
     """
-    import os
-
     fs = model.config.frame_size
     if cfg.tbptt_len % fs:
         raise ContractError(f"tbptt_len {cfg.tbptt_len} not divisible by frame_size {fs}")
@@ -242,7 +228,7 @@ def train_loop(
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     start_iter = 0
     val_history = []
-    carry = None
+    state = None
 
     if resume_from is not None:
         ck = ckpt_io.load_checkpoint(resume_from)
@@ -253,12 +239,10 @@ def train_loop(
             raise ContractError(
                 f"{resume_from}: cannot resume with a changed config: {', '.join(changed)}"
             )
-        model.params.load_arrays(ck.params)
-        optimizer.load_state_arrays(ck.extra_arrays, ck.adam_step)
-        rng.bit_generator.state = ck.rng_state
+        state = ck.restore(model, optimizer, rng)
         start_iter = ck.iteration
         val_history = list(ck.val_history)
-        carry = ckpt_io.carry_to_state(ck, model)
+        del ck  # its record views pin the whole file buffer
 
     metrics = []
     checkpoint_paths = []
@@ -267,7 +251,6 @@ def train_loop(
     train_bits_acc = []
     group = None
     group_codes = None
-    state = carry
 
     def write_metrics(rec):
         metrics.append(rec)
@@ -320,8 +303,7 @@ def train_loop(
                     model, cfg, done, optimizer, rng, val_history, state
                 ),
             )
-            if path not in checkpoint_paths:
-                checkpoint_paths.append(path)
+            checkpoint_paths.append(path)
             last_good = path
             if on_checkpoint:
                 on_checkpoint(path, done)

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +66,51 @@ def test_model_from_checkpoint_restores_exactly(tmp_path):
     rebuilt = model_from_checkpoint(load_checkpoint(path))
     for name, t in model.params.items():
         assert np.array_equal(t.data, rebuilt.params[name].data)
+
+
+def test_save_streams_and_load_holds_one_file_buffer(tmp_path):
+    _, ck = fresh_checkpoint()
+    ck.extra_arrays["carry.big"] = np.arange(1 << 18, dtype=np.float32)  # 1 MiB
+    path = checkpoint_path(tmp_path, 40)
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, ck)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_checkpoint(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(path)
+    assert size > 1 << 20
+    assert save_peak < 0.1 * size
+    assert load_peak < 1.1 * size
+    assert np.array_equal(back.extra_arrays["carry.big"], ck.extra_arrays["carry.big"])
+
+
+def test_restore_hands_on_owned_writeable_arrays(tmp_path):
+    _, ck = fresh_checkpoint()
+    path = checkpoint_path(tmp_path, 40)
+    save_checkpoint(path, ck)
+    back = load_checkpoint(path)
+    model = init_params(back.model_config)
+    opt = Adam(model.params)
+    rng = np.random.Generator(np.random.PCG64(0))
+    carry = back.restore(model, opt, rng)
+
+    assert opt.step_count == ck.adam_step
+    assert rng.bit_generator.state == ck.rng_state
+    owned = {f"param.{name}": t.data for name, t in model.params.items()}
+    owned.update({f"adam.m.{name}": a for name, a in opt.m.items()})
+    owned.update({f"adam.v.{name}": a for name, a in opt.v.items()})
+    owned.update({f"carry.h{l}": t.data for l, t in enumerate(carry.rnn.h)})
+    owned.update({f"carry.c{l}": t.data for l, t in enumerate(carry.rnn.c)})
+    owned.update({"carry.prev_codes": carry.prev_codes, "carry.prev_cond": carry.prev_cond})
+    assert len(owned) == len(ck.params) + len(ck.extra_arrays)
+    for name, arr in owned.items():
+        assert arr.flags.owndata and arr.flags.writeable, name
+        stored = ck.params[name[len("param."):]] if name.startswith("param.") else ck.extra_arrays[name]
+        assert arr.dtype == stored.dtype and np.array_equal(arr, stored), name
 
 
 def test_corrupted_byte_is_rejected(tmp_path):

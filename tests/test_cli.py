@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -285,6 +286,53 @@ def test_diagnose_exit_zero_despite_flags(tmp_path, capsys):
 
 def test_diagnose_missing_file_exit_2(tmp_path):
     assert main(["diagnose", str(tmp_path / "missing.wav")]) == 2
+
+
+def wav_bytes(tag=1, channels=1, rate=16000, bits=16, frames=4096):
+    """A RIFF/WAVE file with the given fmt fields and silent data."""
+    align = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+    data = bytes(frames * align)
+    return (b"RIFF" + struct.pack("<I", 20 + len(fmt) + len(data)) + b"WAVE"
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+
+
+BAD_WAVS = {
+    "empty": b"",
+    "not_riff": b"ID3\x03" + bytes(60),
+    "riff_header_only": b"RIFF" + struct.pack("<I", 4) + b"WAVE",
+    "truncated_fmt": wav_bytes()[:26],
+    "zero_channels": wav_bytes(channels=0),
+    "zero_width": wav_bytes(bits=0),
+    "zero_rate": wav_bytes(rate=0),
+    "float_tag": wav_bytes(tag=3, bits=32),
+    "stereo": wav_bytes(channels=2),
+    "eight_bit": wav_bytes(bits=8),
+    "directory": None,
+    "short_clip": wav_bytes(frames=3),  # diagnose only: chunk cuts no chunk from it
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for case in BAD_WAVS for command in ("diagnose", "chunk")
+    if case != "short_clip" or command == "diagnose"
+])
+def test_malformed_wav_exit_2_naming_the_file(tmp_path, capsys, command, case):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    wav = corpus / f"{case}.wav"
+    if BAD_WAVS[case] is None:
+        wav.mkdir()
+    else:
+        wav.write_bytes(BAD_WAVS[case])
+    if command == "diagnose":
+        rc = main(["diagnose", str(wav)])
+    else:
+        rc = main(["chunk", "--corpus-dir", str(corpus), "--manifest", str(tmp_path / "m.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(wav) in err, err
 
 
 def test_generate_defaults_are_ten_thirty_second_clips():

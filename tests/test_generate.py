@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from samplernn import audio
+from samplernn import audio, generate
 from samplernn.checkpoint import Checkpoint, checkpoint_path, save_checkpoint
 from samplernn.errors import (
     CheckpointError,
@@ -198,6 +198,23 @@ def test_schedule_skips_unreadable_and_errors_when_none(tmp_path):
         str(ckdir), GenConfig(n_seq=1, clip_seconds=0.13), str(tmp_path / "o2")
     )
     assert len(reports) == 1  # the broken one was skipped with a warning
+
+
+def test_schedule_loads_each_checkpoint_when_its_turn_comes(tmp_path, monkeypatch):
+    ckdir = tmp_path / "ck"
+    os.makedirs(ckdir)
+    for it in (20, 10):
+        save_toy_checkpoint(ckdir, it)
+    calls = []
+    load, gen = generate.load_checkpoint, generate.generate_batch
+    monkeypatch.setattr(generate, "load_checkpoint",
+                        lambda path: calls.append(os.path.basename(path)) or load(path))
+    monkeypatch.setattr(generate, "generate_batch",
+                        lambda model, cfg: calls.append("generate") or gen(model, cfg))
+    checkpoint_generation_schedule(
+        str(ckdir), GenConfig(n_seq=1, clip_seconds=0.13), str(tmp_path / "o")
+    )
+    assert calls == ["ckpt_00000010.srnn", "generate", "ckpt_00000020.srnn", "generate"]
 
 
 def test_schedule_deterministic_content(tmp_path):

@@ -157,15 +157,6 @@ class ParamStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
-    def names(self):
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -179,23 +170,6 @@ class ParamStore:
 
     def grads(self):
         return {name: t.grad for name, t in self._params.items()}
-
-    def load_arrays(self, arrays):
-        """Copy values in place; names and shapes must match exactly."""
-        if set(arrays) != set(self._params):
-            missing = set(self._params) - set(arrays)
-            extra = set(arrays) - set(self._params)
-            raise ContractError(
-                f"parameter name mismatch (missing={sorted(missing)}, extra={sorted(extra)})"
-            )
-        for name, arr in arrays.items():
-            t = self._params[name]
-            if arr.shape != t.data.shape:
-                raise ShapeError(
-                    f"parameter {name!r}: stored shape {arr.shape} != expected {t.data.shape}"
-                )
-            t.data = np.array(arr, dtype=t.data.dtype, copy=True)
-            t.grad = np.zeros_like(t.data)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ validation history), then length-prefixed per-array records, and finally a
 bytes through one incremental digest into a temp file, then renames it
 atomically. A load reads the file into one buffer and verifies magic,
 version, and digest before touching any payload; every record is a
-read-only view into that buffer, which `Checkpoint.restore` copies from.
+read-only view into that buffer. Every param, adam and carry record is
+then checked against the header config's parameter table
+(`model.param_shapes`), so `model_from_checkpoint` and `Checkpoint.restore`
+copy records without checking them again.
 
 Besides parameters and Adam moments, a checkpoint stores the training
 carry state (per-layer recurrent vectors plus the last frame's codes and
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .autodiff import Tensor
+from .autodiff import ParamStore, Tensor
 from .errors import CheckpointError, ConfigError, ContractError
-from .model import ModelConfig, ModelState, RecurrentState, init_params
+from .model import CELL_LSTM, ModelConfig, ModelState, RecurrentState, SampleRnnModel, param_shapes
 
 MAGIC = b"SRNNCKPT"
 VERSION = 1
@@ -56,7 +59,7 @@ class Checkpoint:
     @classmethod
     def capture(cls, model, train_cfg, iteration, optimizer, rng, val_history, carry_state):
         extras = {}
-        for name in model.params.names():
+        for name, _ in model.params.items():
             extras[f"adam.m.{name}"] = optimizer.m[name]
             extras[f"adam.v.{name}"] = optimizer.v[name]
         if carry_state is not None:
@@ -81,14 +84,14 @@ class Checkpoint:
 
     def restore(self, model, optimizer, rng):
         """Load parameters, Adam moments and step, and PRNG state into live
-        training objects; return the carried ModelState, or None. Everything
-        handed on is a copy: the records are read-only, possibly unaligned
-        views, and Adam updates its moments in place."""
+        training objects; return the carried ModelState, or None. The
+        records are read-only, possibly unaligned views: they are copied
+        into the model's and Adam's own arrays, and the carry is copied."""
         ex = self.extra_arrays
-        model.params.load_arrays(self.params)
-        for name in model.params.names():
-            optimizer.m[name] = ex[f"adam.m.{name}"].copy()
-            optimizer.v[name] = ex[f"adam.v.{name}"].copy()
+        for name, t in model.params.items():
+            t.data[...] = self.params[name]
+            optimizer.m[name][...] = ex[f"adam.m.{name}"]
+            optimizer.v[name][...] = ex[f"adam.v.{name}"]
         optimizer.step_count = self.adam_step
         rng.bit_generator.state = self.rng_state
         carry = {name: arr.copy() for name, arr in ex.items() if name.startswith("carry.")}
@@ -106,11 +109,13 @@ class Checkpoint:
 
 
 def model_from_checkpoint(ck):
-    """Instantiate a model with the checkpoint's exact parameter bytes."""
-    dtype = next(iter(ck.params.values())).dtype
-    model = init_params(ck.model_config, dtype=dtype)
-    model.params.load_arrays(ck.params)
-    return model
+    """A model whose parameters are owned, aligned copies of the records
+    (exact bytes and dtype), in param_shapes order. Nothing is drawn: the
+    load has checked the records against that table."""
+    params = ParamStore()
+    for name in param_shapes(ck.model_config):
+        params.add(name, ck.params[name].copy())
+    return SampleRnnModel(ck.model_config, params)
 
 
 def _records(ck):
@@ -166,13 +171,42 @@ def _parse_val_history(text):
     return [(int(i), float(b)) for i, _, b in pairs]
 
 
+def _check_records(path, run, records):
+    """Raise CheckpointError naming the file and the record unless the
+    param.*, adam.m.* and adam.v.* records are exactly the parameter table
+    of the header's model config, all in param.embed's float dtype, and any
+    carried state (carry.h0 or carry.prev_*) is complete for train.batch_size
+    rows. Other records pass through."""
+    m, b = run.model, run.train.batch_size
+    embed = records.get("param.embed", np.empty(0, "<f4"))
+    dtype = embed.dtype if embed.dtype.kind == "f" else np.dtype("<f4")
+    want = {prefix + name: (shape, dtype) for prefix in ("param.", "adam.m.", "adam.v.")
+            for name, shape in param_shapes(m).items()}
+    for name in records:
+        if name.startswith(("param.", "adam.")) and name not in want:
+            raise CheckpointError(f"{path}: unexpected record {name!r} for the header's model config")
+    prev = {"carry.prev_codes": ((b, m.frame_size), np.dtype("<i8")),
+            "carry.prev_cond": ((b, m.frame_size, m.hidden_dim), dtype)}
+    if "carry.h0" in records or prev.keys() & records.keys():
+        want.update({f"carry.{s}{l}": ((b, m.hidden_dim), dtype)
+                     for s in ("hc" if m.cell == CELL_LSTM else "h") for l in range(m.n_layers)})
+    if prev.keys() & records.keys():
+        want.update(prev)
+    for name, (shape, kind) in want.items():
+        arr = records.get(name)
+        if arr is None or arr.shape != shape or arr.dtype != kind:
+            got = "missing" if arr is None else f"{arr.dtype} {list(arr.shape)}"
+            raise CheckpointError(f"{path}: record {name!r} is {got}, expected {kind} {list(shape)}")
+
+
 def load_checkpoint(path):
     """Parse and verify a checkpoint file.
 
     Raises CheckpointError on bad magic, version mismatch, digest mismatch,
-    truncation, or a missing or bad header field (naming the file and the
-    key); a corrupted file never yields partial parameters. The file is read
-    once; every returned array is a read-only view into that one buffer.
+    truncation, a missing or bad header field (naming the file and the key),
+    or a record that does not fit the header's config (naming the file and
+    the record); a corrupted file never yields partial parameters. The file
+    is read once; every returned array is a read-only view into it.
     """
     try:
         with open(path, "rb") as fh:
@@ -238,8 +272,7 @@ def load_checkpoint(path):
     adam_step = field("adam.step")
     val_history = field("val_history", _parse_val_history)
 
-    params = {}
-    extras = {}
+    records = {}
     while pos < len(body):
         (name_len,) = struct.unpack("<I", take(4))
         name = str(take(name_len), "utf-8")
@@ -249,11 +282,10 @@ def load_checkpoint(path):
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         dtype = _TAG_DTYPES[tag]
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        arr = np.frombuffer(take(count * dtype.itemsize), dtype=dtype).reshape(shape)
-        if name.startswith("param."):
-            params[name[len("param.") :]] = arr
-        else:
-            extras[name] = arr
+        records[name] = np.frombuffer(take(count * dtype.itemsize), dtype=dtype).reshape(shape)
+    _check_records(path, run, records)
+    params = {name[len("param.") :]: a for name, a in records.items() if name.startswith("param.")}
+    extras = {name: a for name, a in records.items() if not name.startswith("param.")}
 
     return Checkpoint(
         run.model, run.train, iteration, params, extras, adam_step, rng_state, val_history

@@ -14,7 +14,6 @@ import sys
 
 from . import audio
 from .config import build_run_config
-from .checkpoint import load_checkpoint
 from .diagnostics import diagnose_clip
 from .errors import ContractError, DivergenceError, EmptyCorpusError, SampleRnnError
 from .generate import GenConfig, checkpoint_generation_schedule, write_checkpoint_clips
@@ -131,7 +130,7 @@ def cmd_generate(args):
     if args.ckpt_dir:
         reports = checkpoint_generation_schedule(args.ckpt_dir, cfg, args.out_dir)
     else:
-        reports = write_checkpoint_clips(load_checkpoint(args.ckpt), cfg, args.out_dir)
+        reports = write_checkpoint_clips(args.ckpt, cfg, args.out_dir)
     for report in reports:
         print(report.line())
     print(f"wrote {len(reports)} clip(s) to {args.out_dir}")

@@ -50,7 +50,8 @@ class ConfigError(SampleRnnError):
 
 
 class CheckpointError(SampleRnnError):
-    """Checkpoint file is unreadable: bad magic, version, or checksum."""
+    """Checkpoint file is unreadable: bad magic, version, checksum, header
+    field, or a record that does not fit the header's config."""
 
 
 class DivergenceError(SampleRnnError):

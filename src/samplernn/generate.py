@@ -127,19 +127,23 @@ def generate_batch(model, cfg):
     return [AudioBuffer(samples[b], mcfg.sample_rate) for b in range(cfg.n_seq)]
 
 
-def write_checkpoint_clips(ck, cfg, out_dir):
-    """Generate a batch from one loaded checkpoint, then write and screen it.
+def write_checkpoint_clips(path, cfg, out_dir):
+    """Generate a batch from one checkpoint file, then write and screen it.
 
-    WAVs land in out_dir as ckpt<iter>_seq<k>.wav; one diagnostics line per
-    clip is appended to out_dir/diagnostics.txt. Returns the reports in
-    sequence order.
+    The checkpoint (file buffer and Adam moments) is dropped once the model
+    is built, so only the model is held while sampling. WAVs land in out_dir
+    as ckpt<iter>_seq<k>.wav; one diagnostics line per clip is appended to
+    out_dir/diagnostics.txt. Returns the reports in sequence order.
     """
-    clips = generate_batch(model_from_checkpoint(ck), cfg)
+    ck = load_checkpoint(path)
+    model, iteration = model_from_checkpoint(ck), ck.iteration
+    del ck
+    clips = generate_batch(model, cfg)
     os.makedirs(out_dir, exist_ok=True)
     reports = []
     with open(os.path.join(out_dir, "diagnostics.txt"), "a", encoding="utf-8") as fh:
         for k, clip in enumerate(clips):
-            name = f"ckpt{ck.iteration}_seq{k}.wav"
+            name = f"ckpt{iteration}_seq{k}.wav"
             write_wav(clip, os.path.join(out_dir, name))
             report = diagnose_clip(clip, name)
             reports.append(report)
@@ -151,21 +155,17 @@ def checkpoint_generation_schedule(ckpt_dir, cfg, out_dir):
     """Generate clips and diagnostics for every checkpoint in a directory.
 
     Files are walked in name order, which for train_loop's zero-padded
-    ckpt_<iteration>.srnn names is iteration order. Each checkpoint is
-    loaded when its turn comes and let go once write_checkpoint_clips is
-    done with it, so one checkpoint is in memory at a time. Unreadable files
-    are skipped with a warning. The reports are returned in file order.
+    ckpt_<iteration>.srnn names is iteration order, through
+    write_checkpoint_clips, so one model is in memory at a time. Unreadable
+    files are skipped with a warning. The reports are returned in file order.
     """
     reports = []
     for name in sorted(f for f in os.listdir(ckpt_dir) if f.endswith(".srnn")):
         path = os.path.join(ckpt_dir, name)
         try:
-            ck = load_checkpoint(path)
+            reports += write_checkpoint_clips(path, cfg, out_dir)
         except CheckpointError as exc:
             log.warning("skipping unreadable checkpoint %s: %s", path, exc)
-            continue
-        reports += write_checkpoint_clips(ck, cfg, out_dir)
-        del ck  # free its file buffer before the next load
     if not reports:
         raise CheckpointError(f"no valid checkpoints in {ckpt_dir}")
     return reports

@@ -396,57 +396,50 @@ def _uniform_fan(rng, shape, dtype):
     return rng.uniform(-a, a, shape).astype(dtype)
 
 
-def init_params(config, dtype=np.float32):
-    """Build a SampleRnnModel with freshly initialized parameters.
-
-    Weights draw from uniform(-a, a), a = sqrt(6/(fan_in+fan_out)); biases
-    start at zero except LSTM forget gates (forget_bias_init); with weight
-    norm enabled the gains start at the column norms so the effective weight
-    equals the drawn direction matrix. Deterministic for a fixed seed.
-    """
-    cfg = config
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    params = ParamStore()
-
-    def linear(name, fan_in, fan_out, bias=None):
-        w = _uniform_fan(rng, (fan_in, fan_out), dtype)
+def param_shapes(config):
+    """Ordered name -> shape of every parameter the model reads: the only
+    place they are written. init_params draws in this order, and a
+    checkpoint load checks its records against it."""
+    cfg, h, layers = config, config.hidden_dim, range(config.n_layers)
+    lstm = cfg.cell == CELL_LSTM
+    maps = [("frame_in", cfg.frame_size, h)]  # (name, fan_in, fan_out) per linear map
+    for l in layers:
+        maps += ([(f"rnn{l}.gates", 2 * h, 4 * h)] if lstm
+                 else [(f"rnn{l}.zr", 2 * h, 2 * h), (f"rnn{l}.cand", 2 * h, h)])
+    maps += [(f"skip{l}", h, h) for l in layers if cfg.skip_connections]
+    maps += [(f"up{k}", h, h) for k in range(cfg.frame_size)]
+    maps += [("samp.in", cfg.frame_size * cfg.embed_size, h), ("samp.h1", h, h),
+             ("samp.h2", h, h), ("samp.out", h, cfg.q_levels)]
+    shapes = {"embed": (cfg.q_levels, cfg.embed_size)}
+    for name, fan_in, fan_out in maps:
+        shapes[name + (".v" if cfg.weight_norm else ".w")] = (fan_in, fan_out)
         if cfg.weight_norm:
-            params.add(name + ".v", w)
-            params.add(name + ".g", np.sqrt((w * w).sum(axis=0)).astype(dtype))
-        else:
-            params.add(name + ".w", w)
-        b = np.zeros(fan_out, dtype=dtype)
-        if bias is not None:
-            b[:] = bias
-        params.add(name + ".b", b)
-
-    params.add("embed", _uniform_fan(rng, (cfg.q_levels, cfg.embed_size), dtype))
-    linear("frame_in", cfg.frame_size, cfg.hidden_dim)
-
-    h = cfg.hidden_dim
-    for l in range(cfg.n_layers):
-        if cfg.cell == CELL_LSTM:
-            gate_bias = np.zeros(4 * h, dtype=dtype)
-            gate_bias[h : 2 * h] = cfg.forget_bias_init
-            linear(f"rnn{l}.gates", 2 * h, 4 * h, bias=gate_bias)
-        else:
-            linear(f"rnn{l}.zr", 2 * h, 2 * h)
-            linear(f"rnn{l}.cand", 2 * h, h)
-    if cfg.skip_connections:
-        for l in range(cfg.n_layers):
-            linear(f"skip{l}", h, h)
-    for k in range(cfg.frame_size):
-        linear(f"up{k}", h, h)
-
-    linear("samp.in", cfg.frame_size * cfg.embed_size, h)
-    linear("samp.h1", h, h)
-    linear("samp.h2", h, h)
-    linear("samp.out", h, cfg.q_levels)
-
+            shapes[name + ".g"] = (fan_out,)
+        shapes[name + ".b"] = (fan_out,)
     if cfg.h0_mode == H0_LEARNED:
-        for l in range(cfg.n_layers):
-            params.add(f"h0.h{l}", np.zeros(h, dtype=dtype))
-            if cfg.cell == CELL_LSTM:
-                params.add(f"h0.c{l}", np.zeros(h, dtype=dtype))
+        shapes.update({f"h0.{s}{l}": (h,) for l in layers for s in ("hc" if lstm else "h")})
+    return shapes
 
-    return SampleRnnModel(cfg, params)
+
+def init_params(config, dtype=np.float32):
+    """Build a SampleRnnModel with freshly initialized parameters, drawn in
+    param_shapes order. Weights (the 2-D entries) draw from uniform(-a, a),
+    a = sqrt(6/(fan_in+fan_out)); biases start at zero except LSTM forget
+    gates (forget_bias_init); with weight norm enabled the gains start at the
+    column norms so the effective weight equals the drawn direction matrix.
+    Deterministic for a fixed seed.
+    """
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    params = ParamStore()
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            arr = _uniform_fan(rng, shape, dtype)
+        elif name.endswith(".g"):
+            v = params[name[: -len(".g")] + ".v"].data
+            arr = np.sqrt((v * v).sum(axis=0)).astype(dtype)
+        else:
+            arr = np.zeros(shape, dtype=dtype)
+            if name.endswith(".gates.b"):
+                arr[shape[0] // 4 : shape[0] // 2] = config.forget_bias_init
+        params.add(name, arr)
+    return SampleRnnModel(config, params)

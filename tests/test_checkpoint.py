@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import struct
@@ -6,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import samplernn.model
 from samplernn.checkpoint import (
     Checkpoint,
     checkpoint_path,
@@ -66,6 +68,29 @@ def test_model_from_checkpoint_restores_exactly(tmp_path):
     rebuilt = model_from_checkpoint(load_checkpoint(path))
     for name, t in model.params.items():
         assert np.array_equal(t.data, rebuilt.params[name].data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loading_never_draws(tmp_path, monkeypatch, dtype):
+    model = init_params(toy_config(seed=21), dtype=dtype)
+    ck = Checkpoint.capture(model, TrainConfig(batch_size=2, tbptt_len=8), 3, Adam(model.params),
+                            np.random.Generator(np.random.PCG64(0)), [], None)
+    path = checkpoint_path(tmp_path, 3)
+    save_checkpoint(path, ck)
+
+    def no_draw(*args):
+        raise AssertionError("a load drew parameters")
+
+    monkeypatch.setattr(samplernn.model, "_uniform_fan", no_draw)
+    back = load_checkpoint(path)
+    rebuilt = model_from_checkpoint(back)
+    assert rebuilt.dtype == dtype
+    assert [name for name, _ in rebuilt.params.items()] == list(back.params)
+    for name, t in rebuilt.params.items():
+        record = back.params[name]
+        assert t.data.dtype == record.dtype == dtype, name
+        assert t.data.tobytes() == record.tobytes(), name
+        assert t.data.flags.owndata and t.data.flags.writeable and t.data.flags.aligned, name
 
 
 def test_save_streams_and_load_holds_one_file_buffer(tmp_path):
@@ -262,3 +287,43 @@ def test_resume_refuses_changed_model_config(tmp_path):
                    resume_from=checkpoint_path(tmp_path, 2))
     assert "model.sample_rate 16000 -> 8000" in str(err.value)
     assert not (tmp_path / "ckpt_00000004.srnn").exists()
+
+
+@pytest.mark.parametrize("record, edit", [
+    ("param.samp.h1.b", None),
+    ("param.bogus", lambda _: np.zeros(3, np.float32)),
+    ("param.embed", lambda a: a[:, :2]),
+    ("param.samp.out.b", lambda a: a.astype(np.int64)),
+    ("adam.m.embed", None),
+    ("adam.v.samp.h2.v", lambda a: a[:3]),
+    ("carry.h1", None),  # at 2 layers
+    ("carry.prev_cond", lambda a: a[:, :, :7]),
+], ids=["missing-param", "extra-param", "misshapen-param", "int64-param", "missing-adam.m",
+        "misshapen-adam.v", "missing-carry.h1", "misshapen-carry.prev_cond"])
+def test_bad_record_is_checkpoint_error(tmp_path, capsys, record, edit):
+    _, ck = fresh_checkpoint()
+    if record.startswith("param."):
+        records, name = ck.params, record[len("param."):]
+    else:
+        records, name = ck.extra_arrays, record
+    if edit is None:
+        del records[name]
+    else:
+        records[name] = edit(records.get(name))
+    path = checkpoint_path(tmp_path, 40)
+    save_checkpoint(path, ck)  # a valid digest: only the record check can fail
+
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    msg = str(err.value)
+    assert msg.startswith(f"{path}: ") and repr(record) in msg
+    rc = main(["generate", "--ckpt", path, "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {msg}\n"
+
+    train = quantize(make_tone(60.0, 4 * 64 / 16000.0), 16).reshape(4, 64)
+    cfg = dataclasses.replace(ck.train_config, max_iterations=42)
+    with pytest.raises(CheckpointError) as err:
+        train_loop(init_params(toy_config(seed=21)), cfg, train, train[:1], str(tmp_path / "r"),
+                   resume_from=path)
+    assert str(err.value) == msg

@@ -1,10 +1,13 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from samplernn import audio, generate
 from samplernn.checkpoint import Checkpoint, checkpoint_path, save_checkpoint
+from samplernn.cli import main
+from samplernn.config import build_run_config
 from samplernn.errors import (
     CheckpointError,
     ContractError,
@@ -227,3 +230,30 @@ def test_schedule_deterministic_content(tmp_path):
     a = (tmp_path / "o1" / "ckpt20_seq0.wav").read_bytes()
     b = (tmp_path / "o2" / "ckpt20_seq0.wav").read_bytes()
     assert a == b
+
+
+def test_generation_holds_the_model_not_the_checkpoint(tmp_path, monkeypatch):
+    run = build_run_config(preset="desk")
+    model = init_params(run.model)
+    ckdir = tmp_path / "ck"
+    os.makedirs(ckdir)
+    path = checkpoint_path(ckdir, 5)
+    save_checkpoint(path, Checkpoint.capture(model, run.train, 5, Adam(model.params),
+                                             np.random.Generator(np.random.PCG64(0)), [], None))
+    size = os.path.getsize(path)
+    assert 1.0e6 < size < 1.2e6
+    held = []
+    gen = generate.generate_batch
+    monkeypatch.setattr(generate, "generate_batch", lambda model, cfg: held.append(
+        tracemalloc.get_traced_memory()[0]) or gen(model, cfg))
+    for source in (["--ckpt", path], ["--ckpt-dir", str(ckdir)]):
+        tracemalloc.start()
+        try:
+            rc = main(["generate", *source, "--out-dir", str(tmp_path / "o"),
+                       "--n-seq", "1", "--seconds", "0.13"])
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+    # the parameters and their zero gradients, about 0.67x; with the loaded
+    # checkpoint (parameters and Adam moments) alive as well it is 1.73x
+    assert len(held) == 2 and max(held) < 1.0 * size, [h / size for h in held]

@@ -15,6 +15,7 @@ from samplernn.model import (
     init_params,
     lstm_cell,
     model_forward_nll,
+    param_shapes,
     quantize,
 )
 
@@ -343,6 +344,22 @@ def test_effective_columns_norm_equals_gain(rng):
     assert np.allclose(
         np.linalg.norm(w.data, axis=0), np.abs(model.params["samp.h1.g"].data), atol=1e-6
     )
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("weight_norm", [True, False])
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("h0_mode", ["learned", "randomized"])
+def test_param_table_lists_only_parameters_the_model_reads(cell, weight_norm, skip, h0_mode):
+    cfg = toy_config(cell=cell, weight_norm=weight_norm, skip_connections=skip, h0_mode=h0_mode,
+                     seed=6)
+    model = init_params(cfg, dtype=np.float64)
+    table = param_shapes(cfg)
+    assert [(name, t.shape) for name, t in model.params.items()] == list(table.items())
+    codes = np.random.Generator(np.random.PCG64(2)).integers(0, cfg.q_levels, size=(2, 16))
+    out = model.forward_logits(codes, model.initial_state(2, rng=np.random.default_rng(0)))
+    ad.backward(ad.softmax_cross_entropy(out.logits, out.targets)[0])
+    assert [name for name in table if not np.any(model.params[name].grad)] == []
 
 
 def test_config_validation():

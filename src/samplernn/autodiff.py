@@ -24,19 +24,22 @@ from .errors import (
 )
 
 _grad_enabled = True
+_row_products = False
 _check_finite = False
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (values only, no graph)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+def no_grad(row_products=False):
+    """Disable tape recording inside the block (values only, no graph).
+    row_products=True makes every matmul a stack of 1-row products, so a
+    row's value does not depend on how many rows share the product."""
+    global _grad_enabled, _row_products
+    prev = _grad_enabled, _row_products
+    _grad_enabled, _row_products = False, row_products
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled, _row_products = prev
 
 
 def set_check_finite(enabled):
@@ -141,16 +144,16 @@ def backward(loss):
 
 
 class ParamStore:
-    """Named trainable tensors, each with a same-shape gradient accumulator."""
+    """Named tensors; each trainable one has a same-shape gradient accumulator."""
 
     def __init__(self):
         self._params = {}
 
-    def add(self, name, data):
+    def add(self, name, data, trainable=True):
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data), requires_grad=True)
-        t.grad = np.zeros_like(t.data)
+        t = Tensor(np.asarray(data), requires_grad=trainable)
+        t.grad = np.zeros_like(t.data) if trainable else None
         self._params[name] = t
         return t
 
@@ -187,7 +190,8 @@ def matmul(a, b):
         if b.requires_grad:
             b._accum(ad.T @ g, own=True)
 
-    return _node(ad @ bd, (a, b), bw)
+    out = np.matmul(ad[:, None, :], bd)[:, 0] if _row_products else ad @ bd
+    return _node(out, (a, b), bw)
 
 
 def add(a, b):

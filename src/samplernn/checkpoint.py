@@ -136,6 +136,9 @@ def _records(ck):
 
 def save_checkpoint(path, ck):
     """Stream to a temp file, then rename it into place; round-trips bitwise."""
+    for name in ck.extra_arrays:
+        if name.startswith("param."):
+            raise CheckpointError(f"{path}: extra record {name!r} would shadow a parameter")
     header_lines = config.RunConfig(ck.model_config, ck.train_config).echo_lines()
     header_lines.append(f"iteration={ck.iteration}")
     header_lines.append(f"adam.step={ck.adam_step}")
@@ -204,9 +207,9 @@ def load_checkpoint(path):
 
     Raises CheckpointError on bad magic, version mismatch, digest mismatch,
     truncation, a missing or bad header field (naming the file and the key),
-    or a record that does not fit the header's config (naming the file and
-    the record); a corrupted file never yields partial parameters. The file
-    is read once; every returned array is a read-only view into it.
+    or a record that repeats or does not fit the header's config (naming the
+    file and the record); a corrupted file never yields partial parameters.
+    The file is read once; every returned array is a read-only view into it.
     """
     try:
         with open(path, "rb") as fh:
@@ -276,6 +279,8 @@ def load_checkpoint(path):
     while pos < len(body):
         (name_len,) = struct.unpack("<I", take(4))
         name = str(take(name_len), "utf-8")
+        if name in records:
+            raise CheckpointError(f"{path}: duplicate record {name!r}")
         tag, ndim = struct.unpack("<BB", take(2))
         if tag not in _TAG_DTYPES:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} in record {name!r}")

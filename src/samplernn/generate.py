@@ -2,8 +2,10 @@
 
 All sequences in a batch advance in lockstep, one sample per step, but each
 owns a counter-based RNG stream keyed by (seed, sequence index), so a
-sequence's output never depends on how the batch is composed. Priming is
-frame_size codes of quantized silence.
+sequence's output never depends on how the batch is composed. Sampling runs
+the model's folded form with every matrix product one row at a time, so a
+row's logits are bitwise the same at any batch size, and one sampler call
+per step draws every sequence's code. Priming is quantized silence.
 """
 
 from __future__ import annotations
@@ -61,26 +63,28 @@ def sequence_stream(seed, index):
 
 
 def sample_categorical(logits, temperature, rng, argmax=False):
-    """Draw a code from softmax(logits / temperature) by inverse CDF.
-
-    Argmax mode ignores temperature and returns the smallest index attaining
-    the maximum logit.
+    """Draw codes from softmax(logits / temperature) by inverse CDF: an int
+    for logits [Q] and one Generator, B codes for logits [B, Q] and B per-row
+    Generators, bitwise those of B 1-D calls (float64, one random() per row
+    in row order). Argmax mode ignores temperature, draws nothing and returns
+    the smallest index attaining the maximum logit.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in sampler")
+    rows = np.atleast_2d(logits)
     if argmax:
-        return int(np.argmax(logits))
-    z = logits / temperature
-    z -= z.max()
-    p = np.exp(z)
-    cdf = np.cumsum(p)
-    u = rng.random() * cdf[-1]
-    return min(int(np.searchsorted(cdf, u, side="right")), logits.size - 1)
+        codes = np.argmax(rows, axis=1)
+    else:
+        z = rows / temperature
+        cdf = np.cumsum(np.exp(z - z.max(axis=1, keepdims=True)), axis=1)
+        u = np.array([g.random() for g in ([rng] if logits.ndim == 1 else rng)]) * cdf[:, -1]
+        codes = np.minimum((cdf <= u[:, None]).sum(axis=1), rows.shape[1] - 1)
+    return int(codes[0]) if logits.ndim == 1 else codes
 
 
 def generate_batch(model, cfg):
-    """Generate cfg.n_seq clips of cfg.clip_seconds in lockstep.
+    """Generate cfg.n_seq clips of cfg.clip_seconds in lockstep from model.folded().
 
     Returns a list of AudioBuffers, one per sequence, each of exactly
     clip_seconds*sample_rate samples.
@@ -91,10 +95,11 @@ def generate_batch(model, cfg):
     if n_samples < 1:
         raise ContractError("clip too short to generate")
 
-    est_bytes = cfg.n_seq * (
-        (n_samples + fs) * 8  # code buffer
-        + fs * mcfg.hidden_dim * 8  # conditioning rows
-        + 2 * mcfg.n_layers * mcfg.hidden_dim * 8  # recurrent state
+    folded_bytes = sum(t.data.nbytes for name, t in model.params.items() if name.endswith(".v"))
+    est_bytes = folded_bytes + cfg.n_seq * (
+        (n_samples + fs) * 8  # int64 codes
+        + (fs + 2 * mcfg.n_layers) * mcfg.hidden_dim * model.dtype.itemsize  # conditioning, state
+        + n_samples * (8 + 4)  # float64 and float32 output copies
     )
     if est_bytes > cfg.memory_budget_bytes:
         raise GenerationMemoryError(
@@ -102,12 +107,13 @@ def generate_batch(model, cfg):
             f"(budget {cfg.memory_budget_bytes}); reduce n_seq"
         )
 
+    model = model.folded()
     streams = [sequence_stream(cfg.seed, k) for k in range(cfg.n_seq)]
     argmax = cfg.mode == MODE_ARGMAX
     silence = quantize(0.0, mcfg.q_levels)
     codes = np.full((cfg.n_seq, fs + n_samples), silence, dtype=np.int64)
 
-    with ad.no_grad():
+    with ad.no_grad(row_products=True):
         rnn = model.initial_state(cfg.n_seq, rng=streams).rnn
         cond = np.zeros((cfg.n_seq, fs, mcfg.hidden_dim), dtype=model.dtype)
         for t in range(fs, fs + n_samples):
@@ -118,10 +124,7 @@ def generate_batch(model, cfg):
             logits = model.sample_tier_forward(
                 codes[:, t - fs : t], Tensor(cond[:, k])
             ).data
-            for b in range(cfg.n_seq):
-                codes[b, t] = sample_categorical(
-                    logits[b], cfg.temperature, streams[b], argmax=argmax
-                )
+            codes[:, t] = sample_categorical(logits, cfg.temperature, streams, argmax=argmax)
 
     samples = dequantize(codes[:, fs:], mcfg.q_levels).astype(np.float32)
     return [AudioBuffer(samples[b], mcfg.sample_rate) for b in range(cfg.n_seq)]
@@ -130,13 +133,13 @@ def generate_batch(model, cfg):
 def write_checkpoint_clips(path, cfg, out_dir):
     """Generate a batch from one checkpoint file, then write and screen it.
 
-    The checkpoint (file buffer and Adam moments) is dropped once the model
-    is built, so only the model is held while sampling. WAVs land in out_dir
-    as ckpt<iter>_seq<k>.wav; one diagnostics line per clip is appended to
+    Only the folded model is held while sampling: the checkpoint and the
+    trained model are dropped once it is built. WAVs land in out_dir as
+    ckpt<iter>_seq<k>.wav; one diagnostics line per clip is appended to
     out_dir/diagnostics.txt. Returns the reports in sequence order.
     """
     ck = load_checkpoint(path)
-    model, iteration = model_from_checkpoint(ck), ck.iteration
+    model, iteration = model_from_checkpoint(ck).folded(), ck.iteration
     del ck
     clips = generate_batch(model, cfg)
     os.makedirs(out_dir, exist_ok=True)

@@ -14,7 +14,7 @@ processing equal to one whole-sequence pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -191,6 +191,17 @@ class SampleRnnModel:
 
     def _linear(self, name):
         return self._weight(name), self.params[name + ".b"]
+
+    def folded(self):
+        """The same function as a weight_norm=False model whose name.w entries
+        are the effective weights, computed once; every other entry shares
+        this model's array. No entry is trainable or holds a gradient."""
+        config, params = replace(self.config, weight_norm=False), ParamStore()
+        with ad.no_grad():
+            for name in param_shapes(config):
+                t = self._weight(name[:-2]) if name.endswith(".w") else self.params[name]
+                params.add(name, t.data, trainable=False)
+        return SampleRnnModel(config, params)
 
     def _cell_weights(self, layer):
         if self.config.cell == CELL_LSTM:

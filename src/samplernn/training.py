@@ -138,19 +138,16 @@ class ChunkDataset:
         return self._cache[path]
 
     def codes(self, split):
-        """[n_chunks, chunk_len] int codes for one split, in chunk-id order."""
+        """[n_chunks, chunk_len] int64 codes for one split, in chunk-id order,
+        quantized straight into one preallocated array."""
         ids = set(self.manifest.split_ids(split))
-        rows = []
+        entries = [e for e in self.manifest.entries if e.chunk_id in ids]
         clen = self.manifest.chunk_length_samples
-        for e in self.manifest.entries:
-            if e.chunk_id in ids:
-                samples = self._file_samples(e.source_file)
-                rows.append(
-                    quantize(samples[e.offset_samples : e.offset_samples + clen], self.q_levels)
-                )
-        if not rows:
-            return np.zeros((0, clen), dtype=np.int64)
-        return np.stack(rows)
+        out = np.empty((len(entries), clen), dtype=np.int64)
+        for row, e in zip(out, entries):
+            samples = self._file_samples(e.source_file)
+            row[:] = quantize(samples[e.offset_samples : e.offset_samples + clen], self.q_levels)
+        return out
 
 
 def group_chunk_ids(seed, group, batch_size, n_chunks):

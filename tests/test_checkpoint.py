@@ -289,6 +289,36 @@ def test_resume_refuses_changed_model_config(tmp_path):
     assert not (tmp_path / "ckpt_00000004.srnn").exists()
 
 
+def append_record(path, name, arr):
+    """Add one float32 record after the last and re-seal the digest."""
+    raw = open(path, "rb").read()
+    name_b = name.encode()
+    record = struct.pack(f"<I{len(name_b)}sBB{arr.ndim}Q", len(name_b), name_b, 1, arr.ndim,
+                         *arr.shape) + arr.astype("<f4").tobytes()
+    body = raw[:-8] + record
+    open(path, "wb").write(body + hashlib.blake2b(body, digest_size=8).digest())
+
+
+def test_duplicate_record_is_checkpoint_error(tmp_path, capsys):
+    _, ck = fresh_checkpoint()
+    path = checkpoint_path(tmp_path, 40)
+    shadow = dataclasses.replace(ck, extra_arrays={**ck.extra_arrays,
+                                                   "param.embed": np.zeros_like(ck.params["embed"])})
+    with pytest.raises(CheckpointError) as err:
+        save_checkpoint(path, shadow)
+    assert str(err.value) == f"{path}: extra record 'param.embed' would shadow a parameter"
+    assert os.listdir(tmp_path) == []  # no file, not even a temp file
+
+    save_checkpoint(path, ck)
+    append_record(path, "param.embed", np.zeros_like(ck.params["embed"]))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: duplicate record 'param.embed'"
+    rc = main(["generate", "--ckpt", path, "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
 @pytest.mark.parametrize("record, edit", [
     ("param.samp.h1.b", None),
     ("param.bogus", lambda _: np.zeros(3, np.float32)),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -360,6 +361,26 @@ def test_param_table_lists_only_parameters_the_model_reads(cell, weight_norm, sk
     out = model.forward_logits(codes, model.initial_state(2, rng=np.random.default_rng(0)))
     ad.backward(ad.softmax_cross_entropy(out.logits, out.targets)[0])
     assert [name for name in table if not np.any(model.params[name].grad)] == []
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("weight_norm", [True, False])
+def test_folded_model_is_the_same_function(cell, weight_norm, rng):
+    model = init_params(toy_config(cell=cell, weight_norm=weight_norm, seed=9))
+    for name, t in model.params.items():
+        if name.endswith(".g"):  # gains off the column norms, so folding has work to do
+            t.data[:] = rng.uniform(0.5, 2.0, t.shape)
+    folded = model.folded()
+    assert folded.config == dataclasses.replace(model.config, weight_norm=False)
+    table = param_shapes(folded.config)
+    assert [(name, t.shape) for name, t in folded.params.items()] == list(table.items())
+    assert all(not t.requires_grad and t.grad is None for _, t in folded.params.items())
+    assert folded.params["embed"].data is model.params["embed"].data  # shared, not copied
+    codes = rng.integers(0, 16, (3, 24))
+    with ad.no_grad():
+        want = model.forward_logits(codes, model.initial_state(3)).logits.data
+        got = folded.forward_logits(codes, folded.initial_state(3)).logits.data
+    assert got.tobytes() == want.tobytes()
 
 
 def test_config_validation():

@@ -367,6 +367,13 @@ def softmax_cross_entropy(logits, targets):
 
     Stabilized by subtracting the row max before exponentiation. Targets are
     integer class indices, one per row.
+
+    Subnormals never appear, because x86 multiplies them many times slower:
+    a probability whose shifted logit is below cut = log(tiny * n * q) is
+    exactly 0, and exp never sees a logit below the cut, so every other
+    probability is at least n * tiny and the backward's p * g / n (g = 1 in
+    training) stays normal. The loss keeps the target's unclamped logit; the
+    zeroed terms are too small to move a row sum of at least 1.
     """
     if logits.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy expects [N, Q], got {logits.shape}")
@@ -382,12 +389,16 @@ def softmax_cross_entropy(logits, targets):
         )
     targets = targets.astype(np.int64)
 
+    cut = np.log(np.finfo(logits.dtype).tiny * n * q).astype(logits.dtype)
     with np.errstate(invalid="ignore"):  # non-finite logits surface as nan loss
         z = logits.data - logits.data.max(axis=1, keepdims=True)
-        ez = np.exp(z)
+        z_target = z[np.arange(n), targets]
+        keep = z >= cut
+        ez = np.exp(np.maximum(z, cut, out=z), out=z)
+        ez *= keep
         denom = ez.sum(axis=1, keepdims=True)
         probs = ez / denom
-        nll = np.log(denom[:, 0]) - z[np.arange(n), targets]
+        nll = np.log(denom[:, 0]) - z_target
         loss = np.asarray(nll.mean(), dtype=logits.dtype)
 
     def bw(g):

@@ -1,6 +1,7 @@
 """Command-line pipeline: chunk, split, train, generate, diagnose, gradcheck.
 
-Exit codes: 0 success, 2 usage or input error, 3 training divergence.
+Exit codes: 0 success, 1 a failed gradcheck group, 2 usage or input error,
+3 training divergence.
 Commands coordinate only through files (manifest, checkpoints, WAVs), and
 every run is reproducible from its echoed configuration.
 """
@@ -88,6 +89,7 @@ def cmd_train(args):
     dataset = ChunkDataset(manifest, run.model.q_levels)
     train_codes = dataset.codes("train")
     val_codes = dataset.codes("validation")
+    del dataset  # its cache holds every source file's samples
 
     # a resume loads the checkpoint's parameters into this model, and
     # refuses one whose config differs from the checkpoint's

@@ -77,6 +77,51 @@ def test_softmax_ce_target_out_of_range():
         ad.softmax_cross_entropy(leaf(np.zeros((2, 4))), np.array([0, 4]))
 
 
+def is_subnormal(a):
+    return (a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)
+
+
+# rows spread far enough below their max that the unflushed softmax
+# underflows into subnormals: exp is subnormal below about -87 in float32
+# and -708 in float64
+@pytest.mark.parametrize("dtype, low", [(np.float32, -200.0), (np.float64, -1500.0)])
+def test_softmax_ce_confident_logits_make_no_subnormals(rng, dtype, low):
+    n, q = 64, 256
+    logits = Tensor(rng.uniform(low, 0.0, (n, q)).astype(dtype), requires_grad=True)
+    targets = rng.integers(0, q, n)
+    loss, probs = ad.softmax_cross_entropy(logits, targets)
+    ad.backward(loss)
+    assert not is_subnormal(probs.data).any()
+    assert not is_subnormal(logits.grad).any()
+
+    # the same maths written out without the cut
+    rows = np.arange(n)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    denom = ez.sum(axis=1, keepdims=True)
+    ref_loss = np.asarray((np.log(denom[:, 0]) - z[rows, targets]).mean(), dtype=dtype)
+    ref_grad = ez / denom
+    ref_grad[rows, targets] -= 1.0
+    ref_grad *= 1.0 / n
+    assert is_subnormal(ref_grad).any()  # so the cut has work to do
+    assert loss.data.tobytes() == ref_loss.tobytes()
+
+    cut = np.log(np.finfo(dtype).tiny * n * q).astype(dtype)
+    kept = z >= cut
+    kept[rows, targets] = True  # p - 1 is -1 with or without the cut
+    assert (~kept).any()
+    assert np.array_equal(logits.grad[kept], ref_grad[kept])
+    assert np.all(logits.grad[~kept] == 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_softmax_ce_non_finite_logits_give_nan_loss(bad):
+    logits = Tensor(np.array([[0.0, bad, -1.0], [1.0, 2.0, 3.0]], dtype=np.float32))
+    for target in range(3):
+        loss, _ = ad.softmax_cross_entropy(logits, np.array([target, 0]))
+        assert np.isnan(loss.data)
+
+
 def test_backward_of_sum_is_ones():
     store = ParamStore()
     w = store.add("w", np.arange(6.0).reshape(2, 3))

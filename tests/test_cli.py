@@ -1,14 +1,17 @@
+import gc
 import os
 import struct
 
 import numpy as np
 import pytest
 
-from samplernn import audio
+from samplernn import audio, cli
 from samplernn.audio import AudioBuffer
 from samplernn.cli import main
 from samplernn.config import KEY_TYPES, build_run_config, load_config_file
 from samplernn.errors import ConfigError
+from samplernn.gradcheck import GradCheckReport
+from samplernn.training import ChunkDataset, TrainResult
 
 from conftest import make_tone
 
@@ -351,3 +354,29 @@ def test_gradcheck_cli_passes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "139/139 parameter groups passed" in out
+
+
+def test_gradcheck_cli_failed_group_exit_1(monkeypatch, capsys):
+    reports = [GradCheckReport("affine", "w", 1e-9, 4, 1e-4),
+               GradCheckReport("affine", "b", 1.0, 4, 1e-4)]
+    monkeypatch.setattr(cli, "standard_checks", lambda tolerance, seed: reports)
+    assert main(["gradcheck"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "1/2 parameter groups passed" in out
+
+
+def test_train_releases_the_dataset_before_training(corpus, tmp_path, monkeypatch):
+    # the dataset's cache holds every source file's samples; only the codes
+    # should live through the run
+    alive = []  # ChunkDataset count, once per train_loop call
+
+    def stub(model, cfg, train_codes, val_codes, checkpoint_dir, **kwargs):
+        gc.collect()
+        alive.append(sum(isinstance(o, ChunkDataset) for o in gc.get_objects()))
+        return TrainResult([], [], "none")
+
+    monkeypatch.setattr(cli, "train_loop", stub)
+    rc, _, _ = train_toy(corpus, tmp_path)
+    assert rc == 0
+    assert alive == [0]

@@ -1,5 +1,7 @@
 """Two-tier recurrent raw-audio generation: data prep, training, sampling."""
 
+__version__ = "0.1.0"  # before the imports: training writes it into run logs
+
 from .audio import (
     AudioBuffer,
     ChunkManifest,
@@ -106,5 +108,3 @@ __all__ = [
     "validate",
     "write_wav",
 ]
-
-__version__ = "0.1.0"

@@ -13,6 +13,7 @@ requires exact shapes, which turns most silent mistakes into ShapeErrors.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 
 import numpy as np
 
@@ -26,6 +27,22 @@ from .errors import (
 _grad_enabled = True
 _row_products = False
 _check_finite = False
+BLOCK = 1 << 15  # elements per pass of a blocked update; its scratch stays in cache
+
+
+def _keep_freed_memory():
+    """Serve every array from the heap and never trim it (glibc's mallopt
+    M_MMAP_THRESHOLD and M_TRIM_THRESHOLD at 1 GiB), so a step's temporaries
+    reuse pages already mapped instead of faulting fresh ones in. Returns
+    whether both settings took; elsewhere than glibc it changes nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        return all(mallopt(param, 1 << 30) == 1 for param in (-3, -1))
+    except (OSError, AttributeError, TypeError):
+        return False
+
+
+HEAP_POLICY_APPLIED = _keep_freed_memory()
 
 
 @contextlib.contextmanager
@@ -152,7 +169,8 @@ class ParamStore:
     def add(self, name, data, trainable=True):
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data), requires_grad=trainable)
+        # C order: Adam updates each parameter through its flat view
+        t = Tensor(np.asarray(data, order="C"), requires_grad=trainable)
         t.grad = np.zeros_like(t.data) if trainable else None
         self._params[name] = t
         return t
@@ -414,18 +432,28 @@ def weight_norm_apply(v, g):
     """Reparameterize columns as direction * gain: w[:, j] = g[j] v[:, j] / ||v[:, j]||."""
     if v.ndim != 2 or g.ndim != 1 or v.shape[1] != g.shape[0]:
         raise ShapeError(f"weight_norm_apply: {v.shape} with gains {g.shape}")
-    norms = np.sqrt((v.data * v.data).sum(axis=0))
+    vd = v.data
+    norms = np.sqrt(np.einsum("ij,ij->j", vd, vd))
     if np.any(norms == 0):
         j = int(np.argmin(norms))
         raise DegenerateDirectionError(f"zero-norm direction column {j}")
-    u = v.data / norms
-    w = u * g.data
+    scale = g.data / norms
 
     def bw(grad_w):
-        dots = (grad_w * u).sum(axis=0)
+        dots = np.einsum("ij,ij->j", grad_w, vd) / norms
         if g.requires_grad:
             g._accum(dots, own=True)
         if v.requires_grad:
-            v._accum((g.data / norms) * (grad_w - u * dots), own=True)
+            # v.grad += grad_w * scale - v * (scale * dots / norms), a few
+            # rows at a time, so the products stay in cache
+            if v.grad is None:
+                v.grad = np.zeros_like(vd)
+            c = scale * dots / norms
+            rows = max(1, BLOCK // vd.shape[1])
+            tmp = np.empty((rows, vd.shape[1]), dtype=v.grad.dtype)
+            for i in range(0, vd.shape[0], rows):
+                acc = v.grad[i : i + rows]
+                acc += np.multiply(grad_w[i : i + rows], scale, out=tmp[: len(acc)])
+                acc -= np.multiply(vd[i : i + rows], c, out=tmp[: len(acc)])
 
-    return _node(w, (v, g), bw)
+    return _node(vd * scale, (v, g), bw)

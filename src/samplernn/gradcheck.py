@@ -99,12 +99,6 @@ def _store(**arrays):
     return ps
 
 
-def _mix(t, rng):
-    """Random fixed projection to a scalar; avoids symmetric blind spots."""
-    r = Tensor(rng.standard_normal(t.shape))
-    return ad.sum_all(ad.mul(t, r))
-
-
 def _toy_config(cell, **overrides):
     base = dict(
         q_levels=7,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from .audio import read_wav
@@ -26,7 +27,13 @@ LN2 = float(np.log(2.0))
 
 
 class Adam:
-    """Bias-corrected Adam over a ParamStore, updating in place."""
+    """Bias-corrected Adam over a ParamStore, updating in place.
+
+    Each parameter is walked in pieces of ad.BLOCK elements of its flat view,
+    through two scratch buffers allocated once, so a step allocates nothing
+    and each element sees the same operations in the same order as the plain
+    formula.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
@@ -37,21 +44,27 @@ class Adam:
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self._scratch = np.empty((2, ad.BLOCK), dtype=np.float64)  # viewed per dtype
 
     def step(self):
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1**t
-        c2 = 1.0 - self.beta2**t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1 = 1.0 - b1**t
+        c2 = 1.0 - b2**t
         for name, p in self.params.items():
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            scratch = self._scratch.view(p.dtype)
+            flat = [a.reshape(-1) for a in (p.data, p.grad, self.m[name], self.v[name])]
+            for i in range(0, p.data.size, ad.BLOCK):
+                w, g, m, v = (a[i : i + ad.BLOCK] for a in flat)
+                x, y = (s[: g.size] for s in scratch)
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, out=x)
+                v *= b2
+                v += np.multiply(np.multiply(g, g, out=x), 1.0 - b2, out=x)
+                np.multiply(lr, np.divide(m, c1, out=x), out=x)
+                np.add(np.sqrt(np.divide(v, c2, out=y), out=y), eps, out=y)
+                w -= np.divide(x, y, out=x)
 
 
 def clip_gradients(params, clip_norm):
@@ -260,6 +273,13 @@ def train_loop(
             for line in header_lines:
                 fh.write(f"# {line}\n")
             fh.write(f"# samples_per_iteration={samples_per_iter} corpus_samples={corpus_samples}\n")
+            threads = " ".join(
+                f"{k}={os.environ.get(k, 'unset')}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+            )
+            fh.write(
+                f"# samplernn={__version__} numpy={np.__version__} {threads} "
+                f"heap_policy={ad.HEAP_POLICY_APPLIED}\n"
+            )
 
     for it in range(start_iter, cfg.max_iterations):
         g, s = divmod(it, segs_per_chunk)

@@ -210,6 +210,29 @@ def test_weight_norm_column_norms_equal_gain(rng):
     assert np.allclose(np.linalg.norm(w.data, axis=0), np.abs(g.data), atol=1e-6)
 
 
+def five_pass_weight_norm(v, g, grad_w):
+    """The plain form, as the op computed it before its two-pass rewrite:
+    returns (w, dv, dg)."""
+    norms = np.sqrt((v * v).sum(axis=0))
+    u = v / norms
+    dots = (grad_w * u).sum(axis=0)
+    return u * g, (g / norms) * (grad_w - u * dots), dots
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_weight_norm_matches_plain_formula(rng, dtype, rtol):
+    v = rng.normal(size=(96, 40)).astype(dtype)
+    g = rng.normal(size=40).astype(dtype)
+    grad_w = rng.normal(size=(96, 40)).astype(dtype)
+    vt, gt = Tensor(v, requires_grad=True), Tensor(g, requires_grad=True)
+    out = ad.weight_norm_apply(vt, gt)
+    ad.backward(ad.sum_all(ad.mul(out, Tensor(grad_w))))
+    for got, want in zip((out.data, vt.grad, gt.grad), five_pass_weight_norm(v, g, grad_w)):
+        assert got.dtype == dtype
+        # relative to the largest entry: a column's dot product may cancel to ~0
+        np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max())
+
+
 def test_weight_norm_zero_column_rejected():
     v = leaf(np.array([[0.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(DegenerateDirectionError):

@@ -1,12 +1,20 @@
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import samplernn
 from samplernn import autodiff as ad
 from samplernn.errors import ContractError, DivergenceError
 from samplernn.model import init_params, quantize
 from samplernn.training import (
     Adam,
     ChunkDataset,
+    MetricsRecord,
     TrainConfig,
     clip_gradients,
     group_chunk_ids,
@@ -72,6 +80,58 @@ def test_adam_identical_runs_identical_trajectories(rng):
         return np.stack(traj)
 
     assert np.array_equal(run(), run())
+
+
+def plain_adam_step(store, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam as written in one expression per moment, over whole arrays."""
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    for name, p in store.items():
+        m[name] *= b1
+        m[name] += (1.0 - b1) * p.grad
+        v[name] *= b2
+        v[name] += (1.0 - b2) * (p.grad * p.grad)
+        p.data -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_is_bitwise_the_plain_formula(rng, dtype):
+    shapes = [(3, ad.BLOCK + 5), (1,), (7, 3)]  # the first ends in a partial block
+    init = [rng.normal(size=s).astype(dtype) for s in shapes]
+    blocked, plain = ad.ParamStore(), ad.ParamStore()
+    for i, x in enumerate(init):
+        blocked.add(f"p{i}", np.asfortranarray(x))  # the store keeps a C-order copy
+        plain.add(f"p{i}", x.copy())
+    opt = Adam(blocked, lr=0.01)
+    m = {name: np.zeros_like(t.data) for name, t in plain.items()}
+    v = {name: np.zeros_like(t.data) for name, t in plain.items()}
+    for t in range(1, 4):
+        for name, p in blocked.items():
+            p.grad[...] = rng.normal(size=p.shape)
+            plain[name].grad[...] = p.grad
+        opt.step()
+        plain_adam_step(plain, m, v, t, lr=0.01)
+    for name, p in blocked.items():
+        assert p.data.dtype == dtype
+        assert np.array_equal(p.data, plain[name].data)
+        assert np.array_equal(opt.m[name], m[name])
+        assert np.array_equal(opt.v[name], v[name])
+
+
+def test_adam_step_allocates_no_parameter_sized_temporaries(rng):
+    store = ad.ParamStore()
+    big = store.add("big", rng.normal(size=(512, 1024)).astype(np.float32))
+    store.add("small", np.ones(10, dtype=np.float32))
+    for _, p in store.items():
+        p.grad[...] = 0.5
+    opt = Adam(store)
+    opt.step()
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * big.data.nbytes
 
 
 # -- clipping -------------------------------------------------------------------
@@ -223,6 +283,60 @@ def test_train_loop_metrics_monotone_and_formats(tmp_path):
     first = data_lines[0]
     assert first.startswith("iter=2 train_bits=") and " val_bits=" in first and " secs=" in first
     assert len(result.checkpoint_paths) == 2  # iterations 4 and 8
+
+
+def test_train_loop_header_records_the_run_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    model = init_params(toy_config(seed=21))
+    cfg = small_train_config(max_iterations=4, validate_every=2)
+    metrics_path = tmp_path / "metrics.log"
+    result = train_loop(model, cfg, sine_codes(4, 32), sine_codes(1, 32), str(tmp_path / "ck"),
+                        metrics_path=str(metrics_path))
+    lines = metrics_path.read_text().splitlines()
+    header = dict(
+        field.split("=", 1) for line in lines if line.startswith("# ") for field in line[2:].split()
+    )
+    assert header["samplernn"] == samplernn.__version__
+    assert header["numpy"] == np.__version__
+    assert header["OPENBLAS_NUM_THREADS"] == "1"
+    assert header["OMP_NUM_THREADS"] == "unset"
+    assert header["heap_policy"] == str(ad.HEAP_POLICY_APPLIED)
+    if platform.libc_ver()[0] == "glibc":
+        assert ad.HEAP_POLICY_APPLIED
+    assert [l for l in lines if not l.startswith("#")] == [r.line() for r in result.metrics]
+    assert MetricsRecord(2, 1.23456, 7.0, 3.14159, 0.5).line() == (
+        "iter=2 train_bits=1.2346 val_bits=7.0000 secs=3.1"
+    )
+
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+from samplernn import config, model, training
+run = config.build_run_config("paper", overrides={
+    "model.hidden_dim": 256, "model.n_layers": 2, "train.batch_size": 4, "train.tbptt_len": 128})
+m = model.init_params(run.model)
+opt = training.Adam(m.params)
+codes = np.random.default_rng(0).integers(0, 256, (4, 128))
+state = m.initial_state(4, rng=np.random.default_rng(1))
+for steps in (2, 6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(steps):
+        _, state = training.tbptt_step(m, opt, codes, state)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_steady_training_steps_reuse_freed_memory():
+    # a fresh process, so no earlier test has already grown the heap
+    src = os.path.dirname(os.path.dirname(samplernn.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert int(out.stdout) < 200  # minor page faults over 6 steps after 2 warm-up steps
 
 
 def test_train_loop_determinism(tmp_path):

@@ -325,15 +325,17 @@ def concat(tensors, axis):
 
 
 def narrow(x, axis, start, length):
-    """Contiguous slice [start, start+length) along one axis."""
+    """Contiguous slice [start, start+length) along one axis. The backward
+    adds into x's gradient in place, so the narrows of one tensor share one
+    full-size buffer."""
     idx = [slice(None)] * x.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
 
     def bw(g):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        x._accum(full, own=True)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[idx] += g
 
     return _node(x.data[idx], (x,), bw)
 

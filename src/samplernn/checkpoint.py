@@ -35,7 +35,7 @@ from .errors import CheckpointError, ConfigError, ContractError
 from .model import CELL_LSTM, ModelConfig, ModelState, RecurrentState, SampleRnnModel, param_shapes
 
 MAGIC = b"SRNNCKPT"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_TAGS = {np.dtype("<f4"): 1, np.dtype("<f8"): 2, np.dtype("<i8"): 3}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}

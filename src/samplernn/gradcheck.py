@@ -199,4 +199,19 @@ def standard_checks(tolerance=1e-4, seed=0):
 
         run(f"two_tier_forward_{cell}", m.params, full_loss)
 
+    # y feeds two overlapping narrows and one whole-tensor op; as an op
+    # output its grad starts as None, so the first narrow allocates it
+    ps = _store(x=rng.standard_normal((3, 6)))
+    mix_a = Tensor(rng.standard_normal((3, 2)))
+    mix_b = Tensor(rng.standard_normal((2, 6)))
+    mix = Tensor(rng.standard_normal((3, 6)))
+
+    def narrow_loss():
+        y = ad.tanh(ps["x"])
+        a = ad.sum_all(ad.mul(ad.narrow(y, 1, 1, 2), mix_a))
+        b = ad.sum_all(ad.mul(ad.narrow(y, 0, 1, 2), mix_b))
+        return ad.add(ad.add(a, b), ad.sum_all(ad.mul(y, mix)))
+
+    run("narrow", ps, narrow_loss)
+
     return reports

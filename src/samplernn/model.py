@@ -248,11 +248,15 @@ class SampleRnnModel:
         """Advance the stack one step per frame of codes.
 
         codes: int [B, T*frame_size]. Returns (conditioning [B, T,
-        frame_size, hidden] as a Tensor, new RecurrentState). Each frame's
-        output is mapped through frame_size distinct linear maps, one per
-        intra-frame position.
+        frame_size, hidden] as a Tensor, new RecurrentState). Only the
+        recurrence runs frame by frame: the input map runs once over all B*T
+        frames before the loop, and each layer's skip map and the upsampler
+        once over all frames after it. The upsampler is one [hidden,
+        frame_size*hidden] map whose column block k is intra-frame position
+        k's linear map.
         """
         cfg = self.config
+        hid = cfg.hidden_dim
         codes = np.asarray(codes)
         if codes.ndim != 2 or codes.shape[1] == 0 or codes.shape[1] % cfg.frame_size:
             raise FramingError(
@@ -261,44 +265,38 @@ class SampleRnnModel:
         b = codes.shape[0]
         t_steps = codes.shape[1] // cfg.frame_size
         frames = dequantize(codes, cfg.q_levels).astype(self.dtype).reshape(
-            b, t_steps, cfg.frame_size
+            b * t_steps, cfg.frame_size
         )
-
-        w_in, b_in = self._linear("frame_in")
+        # batch-major rows: frame t of row i is x_in[i, t*hid:(t+1)*hid]
+        x_in = ad.reshape(ad.affine(Tensor(frames), *self._linear("frame_in")),
+                          (b, t_steps * hid))
         cells = [self._cell_weights(l) for l in range(cfg.n_layers)]
-        skips = (
-            [self._linear(f"skip{l}") for l in range(cfg.n_layers)]
-            if cfg.skip_connections
-            else None
-        )
-        ups = [self._linear(f"up{k}") for k in range(cfg.frame_size)]
 
         h = list(rnn_state.h)
         c = list(rnn_state.c) if rnn_state.c is not None else None
-        outs = []
+        outs = [[] for _ in range(cfg.n_layers)]
         for t in range(t_steps):
-            x = ad.affine(Tensor(frames[:, t]), w_in, b_in)
-            acc = None
+            x = ad.narrow(x_in, 1, t * hid, hid)
             for l in range(cfg.n_layers):
                 if cfg.cell == CELL_LSTM:
                     h[l], c[l] = lstm_cell(x, (h[l], c[l]), cells[l])
                 else:
                     h[l] = gru_cell(x, h[l], cells[l])
                 x = h[l]
-                if skips is not None:
-                    proj = ad.affine(h[l], *skips[l])
-                    acc = proj if acc is None else ad.add(acc, proj)
-            outs.append(acc if skips is not None else h[-1])
+                outs[l].append(x)
 
-        flat = ad.reshape(
-            ad.concat([ad.reshape(o, (b, 1, cfg.hidden_dim)) for o in outs], axis=1),
-            (b * t_steps, cfg.hidden_dim),
-        )
-        per_pos = [
-            ad.reshape(ad.affine(flat, w, bias), (b, t_steps, 1, cfg.hidden_dim))
-            for w, bias in ups
-        ]
-        cond = ad.concat(per_pos, axis=2)
+        def over_frames(l):  # layer l's outputs as [B*T, hid], batch-major
+            return ad.reshape(ad.concat(outs[l], axis=1), (b * t_steps, hid))
+
+        if cfg.skip_connections:
+            out = None
+            for l in range(cfg.n_layers):
+                proj = ad.affine(over_frames(l), *self._linear(f"skip{l}"))
+                out = proj if out is None else ad.add(out, proj)
+        else:
+            out = over_frames(cfg.n_layers - 1)
+        cond = ad.reshape(ad.affine(out, *self._linear("up")),
+                          (b, t_steps, cfg.frame_size, hid))
         return cond, RecurrentState(h, c)
 
     # -- sample tier ----------------------------------------------------------
@@ -402,9 +400,18 @@ def model_forward_nll(model, codes, state):
 # initialization
 
 
-def _uniform_fan(rng, shape, dtype):
-    a = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(-a, a, shape).astype(dtype)
+def _uniform_fan(rng, shape, dtype, blocks=1):
+    """uniform(-a, a), a = sqrt(6/(fan_in+fan_out)), for `blocks` maps side
+    by side: each [fan_in, fan_out] block is drawn in turn, as if it were its
+    own map, and cast straight into its columns."""
+    fan_in, fan_out = shape[0], shape[1] // blocks
+    a = np.sqrt(6.0 / (fan_in + fan_out))
+    if blocks == 1:
+        return rng.uniform(-a, a, shape).astype(dtype)
+    arr = np.empty(shape, dtype=dtype)
+    for k in range(blocks):
+        arr[:, k * fan_out : (k + 1) * fan_out] = rng.uniform(-a, a, (fan_in, fan_out))
+    return arr
 
 
 def param_shapes(config):
@@ -418,7 +425,7 @@ def param_shapes(config):
         maps += ([(f"rnn{l}.gates", 2 * h, 4 * h)] if lstm
                  else [(f"rnn{l}.zr", 2 * h, 2 * h), (f"rnn{l}.cand", 2 * h, h)])
     maps += [(f"skip{l}", h, h) for l in layers if cfg.skip_connections]
-    maps += [(f"up{k}", h, h) for k in range(cfg.frame_size)]
+    maps += [("up", h, cfg.frame_size * h)]  # column block k: position k's map
     maps += [("samp.in", cfg.frame_size * cfg.embed_size, h), ("samp.h1", h, h),
              ("samp.h2", h, h), ("samp.out", h, cfg.q_levels)]
     shapes = {"embed": (cfg.q_levels, cfg.embed_size)}
@@ -438,16 +445,18 @@ def init_params(config, dtype=np.float32):
     a = sqrt(6/(fan_in+fan_out)); biases start at zero except LSTM forget
     gates (forget_bias_init); with weight norm enabled the gains start at the
     column norms so the effective weight equals the drawn direction matrix.
-    Deterministic for a fixed seed.
+    The upsampler draws each position's [hidden, hidden] column block as its
+    own map. Deterministic for a fixed seed.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = ParamStore()
     for name, shape in param_shapes(config).items():
         if len(shape) == 2:
-            arr = _uniform_fan(rng, shape, dtype)
+            blocks = config.frame_size if name.startswith("up.") else 1
+            arr = _uniform_fan(rng, shape, dtype, blocks)
         elif name.endswith(".g"):
             v = params[name[: -len(".g")] + ".v"].data
-            arr = np.sqrt((v * v).sum(axis=0)).astype(dtype)
+            arr = np.sqrt(np.einsum("ij,ij->j", v, v)).astype(dtype)  # as weight_norm_apply
         else:
             arr = np.zeros(shape, dtype=dtype)
             if name.endswith(".gates.b"):

@@ -106,11 +106,13 @@ def validate(model, chunks, segment_len=2048, max_rows=32):
 
     No parameter updates; state resets at every chunk. Long chunks are
     walked segment-by-segment with carried state, so the result equals a
-    whole-chunk pass.
+    whole-chunk pass. Evaluates model.folded(), so weight norm runs once per
+    pass, not once per segment.
     """
     codes = np.asarray(chunks)
     if codes.ndim != 2 or codes.shape[0] == 0:
         raise ContractError("validation split is empty")
+    model = model.folded()
     fs = model.config.frame_size
     seg = max(fs * 2, segment_len - segment_len % fs)
     # fixed stream keeps randomized-h0 validation a pure function

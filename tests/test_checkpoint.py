@@ -9,6 +9,7 @@ import pytest
 
 import samplernn.model
 from samplernn.checkpoint import (
+    VERSION,
     Checkpoint,
     checkpoint_path,
     load_checkpoint,
@@ -169,18 +170,21 @@ def test_bad_magic_is_rejected(tmp_path):
 
 
 def test_version_mismatch_is_explicit(tmp_path):
+    # the previous format version and an unknown one
     _, ck = fresh_checkpoint()
     path = checkpoint_path(tmp_path, 40)
     save_checkpoint(path, ck)
-    raw = bytearray(open(path, "rb").read())
-    raw[8:12] = (99).to_bytes(4, "little")  # bump the version field
-    # recompute the digest so only the version check can fail
-    body = bytes(raw[:-8])
-    raw[-8:] = hashlib.blake2b(body, digest_size=8).digest()
-    open(path, "wb").write(bytes(raw))
-    with pytest.raises(CheckpointError) as err:
-        load_checkpoint(path)
-    assert "version" in str(err.value)
+    saved = open(path, "rb").read()
+    for found in (VERSION - 1, 99):
+        raw = bytearray(saved)
+        raw[8:12] = found.to_bytes(4, "little")  # rewrite the version field
+        # recompute the digest so only the version check can fail
+        body = bytes(raw[:-8])
+        raw[-8:] = hashlib.blake2b(body, digest_size=8).digest()
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert f"version {found} unsupported (expected {VERSION})" in str(err.value)
 
 
 @pytest.mark.parametrize("dtype", ["<i4", ">i4", "u1", "?", "<f2"])

@@ -55,6 +55,7 @@ def test_standard_suite_all_pass():
         "lstm_cell",
         "gru_cell",
         "weight_norm",
+        "narrow",
         "embedding",
         "upsampler",
         "two_tier_forward_lstm",

@@ -168,8 +168,9 @@ def test_frame_tier_matches_hand_computed_reference():
         i, f, g, o = np.split(z, 4, axis=1)
         c = sigmoid(f) * c + sigmoid(i) * np.tanh(g)
         h = sigmoid(o) * np.tanh(c)
-        for k in range(2):
-            expected[:, t, k] = h @ p[f"up{k}.w"].data + p[f"up{k}.b"].data
+        for k in range(2):  # column block k of up is position k's map
+            cols = slice(2 * k, 2 * k + 2)
+            expected[:, t, k] = h @ p["up.w"].data[:, cols] + p["up.b"].data[cols]
     assert np.allclose(cond.data, expected, atol=1e-12)
 
 
@@ -183,6 +184,36 @@ def test_frame_tier_state_threading():
     cond_b, _ = model.frame_tier_forward(b, state)
     joined = np.concatenate([cond_a.data, cond_b.data], axis=1)
     assert np.allclose(whole.data, joined, atol=1e-12)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("skip", [True, False])
+def test_frame_tier_loop_holds_only_the_recurrence(monkeypatch, cell, skip):
+    # one more frame records one narrow of the hoisted input and one cell
+    # call per layer; every other op runs once per forward
+    made = []
+    real = ad._node
+    monkeypatch.setattr(ad, "_node", lambda *args: made.append(1) or real(*args))
+
+    def ops(fn):
+        made.clear()
+        fn()
+        return len(made)
+
+    model = init_params(toy_config(cell=cell, n_layers=3, skip_connections=skip))
+    hid, fs = model.config.hidden_dim, model.config.frame_size
+    weights = model._cell_weights(0)
+    x, h, c = (Tensor(np.zeros((2, hid), dtype=np.float32), requires_grad=True)
+               for _ in range(3))
+    if cell == "lstm":
+        per_cell = ops(lambda: lstm_cell(x, (h, c), weights))
+    else:
+        per_cell = ops(lambda: gru_cell(x, h, weights))
+    codes = np.zeros((2, 4 * fs), dtype=np.int64)
+    per_t = [ops(lambda t=t: model.frame_tier_forward(codes[:, : t * fs],
+                                                      model.initial_state(2).rnn))
+             for t in (1, 2, 3, 4)]
+    assert np.diff(per_t).tolist() == [1 + 3 * per_cell] * 3
 
 
 # -- sample tier ----------------------------------------------------------------

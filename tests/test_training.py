@@ -241,6 +241,18 @@ def test_validate_equals_whole_forward(rng):
     assert via_validate == pytest.approx(whole, abs=1e-5)
 
 
+def test_validate_applies_weight_norm_once_per_map(rng, monkeypatch):
+    model = init_params(toy_config(seed=4))
+    chunks = rng.integers(0, 16, (2, 64))
+    expected = validate(model.folded(), chunks, segment_len=16)
+    calls = []
+    real = ad.weight_norm_apply
+    monkeypatch.setattr(ad, "weight_norm_apply", lambda v, g: calls.append(1) or real(v, g))
+    bits = validate(model, chunks, segment_len=16)  # four segments per chunk
+    assert len(calls) == sum(name.endswith(".g") for name, _ in model.params.items())
+    assert bits == expected
+
+
 # -- batching -------------------------------------------------------------------
 
 

@@ -2,15 +2,22 @@
 
 Layout: magic `SRNNCKPT`, u32 version, u64 header length, a plain-text
 header of key=value lines (configs, iteration, optimizer step, PRNG state,
-validation history), then length-prefixed per-array records, and finally a
-64-bit digest of all preceding bytes. A save streams every record's own
-bytes through one incremental digest into a temp file, then renames it
-atomically. A load reads the file into one buffer and verifies magic,
-version, and digest before touching any payload; every record is a
-read-only view into that buffer. Every param, adam and carry record is
-then checked against the header config's parameter table
-(`model.param_shapes`), so `model_from_checkpoint` and `Checkpoint.restore`
-copy records without checking them again.
+validation history, record count) and its check, then the records. Each
+record is its header (u32 name length, name, dtype tag, ndim, u64 shape),
+its little-endian payload and its check. A check is the first 8 bytes of
+SHA-256 over the bytes since the previous check (the header's covers the
+magic, version and length too); it catches torn writes and bit rot, not
+tampering.
+
+A save streams each record's own bytes, hashing them on the way, into a
+temp file, then renames it atomically. A load checks magic and version,
+then the header's check before it parses a field, then reads each record
+straight into a fresh array and checks it there, so it holds no
+file-sized buffer and allocates nothing the file's size cannot back. Every
+param, adam and carry record is then checked against the header config's
+parameter table (`model.param_shapes`), so `model_from_checkpoint` adopts
+the param records as they are and `Checkpoint.restore` copies records
+without checking them again.
 
 Besides parameters and Adam moments, a checkpoint stores the training
 carry state (per-layer recurrent vectors plus the last frame's codes and
@@ -22,8 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import struct
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -35,7 +44,8 @@ from .errors import CheckpointError, ConfigError, ContractError
 from .model import CELL_LSTM, ModelConfig, ModelState, RecurrentState, SampleRnnModel, param_shapes
 
 MAGIC = b"SRNNCKPT"
-VERSION = 2
+VERSION = 3
+_PREFIX = struct.Struct("<8sIQ")  # magic, version, header length
 
 _DTYPE_TAGS = {np.dtype("<f4"): 1, np.dtype("<f8"): 2, np.dtype("<i8"): 3}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
@@ -84,9 +94,10 @@ class Checkpoint:
 
     def restore(self, model, optimizer, rng):
         """Load parameters, Adam moments and step, and PRNG state into live
-        training objects; return the carried ModelState, or None. The
-        records are read-only, possibly unaligned views: they are copied
-        into the model's and Adam's own arrays, and the carry is copied."""
+        training objects; return the carried ModelState, or None. Every
+        record is copied into the model's and Adam's own arrays, and the
+        carry is copied, so the live objects share nothing with this
+        checkpoint."""
         ex = self.extra_arrays
         for name, t in model.params.items():
             t.data[...] = self.params[name]
@@ -109,17 +120,26 @@ class Checkpoint:
 
 
 def model_from_checkpoint(ck):
-    """A model whose parameters are owned, aligned copies of the records
-    (exact bytes and dtype), in param_shapes order. Nothing is drawn: the
-    load has checked the records against that table."""
+    """A model whose parameters are the param records themselves (owned,
+    aligned, writable arrays from the load), in param_shapes order: the
+    model and ck.params share those arrays. Nothing is drawn or copied:
+    the load has checked the records against that table."""
     params = ParamStore()
     for name in param_shapes(ck.model_config):
-        params.add(name, ck.params[name].copy())
+        params.add(name, ck.params[name])
     return SampleRnnModel(ck.model_config, params)
 
 
+def _check(*parts):
+    """The first 8 bytes of SHA-256 over the parts, in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.digest()[:8]
+
+
 def _records(ck):
-    """Each record's header, then its payload as a byte view of the array."""
+    """Each record's header and its payload as a byte view of the array."""
     params = ((f"param.{name}", arr) for name, arr in ck.params.items())
     for name, arr in itertools.chain(params, ck.extra_arrays.items()):
         arr = np.ascontiguousarray(arr)
@@ -127,11 +147,11 @@ def _records(ck):
         if arr.dtype not in _DTYPE_TAGS:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for record {name!r}")
         name_b = name.encode("utf-8")
-        yield struct.pack(
+        head = struct.pack(
             f"<I{len(name_b)}sBB{arr.ndim}Q",
             len(name_b), name_b, _DTYPE_TAGS[arr.dtype], arr.ndim, *arr.shape,
         )
-        yield arr.reshape(-1).view(np.uint8)
+        yield head, arr.reshape(-1).view(np.uint8)
 
 
 def save_checkpoint(path, ck):
@@ -150,18 +170,19 @@ def save_checkpoint(path, ck):
     header_lines.append(
         "val_history=" + ",".join(f"{i}:{float(b)!r}" for i, b in ck.val_history)
     )
+    header_lines.append(f"records={len(ck.params) + len(ck.extra_arrays)}")
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            digest = hashlib.blake2b(digest_size=8)
-            head = MAGIC + struct.pack("<IQ", VERSION, len(header)) + header
-            for data in itertools.chain([head], _records(ck)):
-                digest.update(data)
-                fh.write(data)
-            fh.write(digest.digest())
+            head = _PREFIX.pack(MAGIC, VERSION, len(header)) + header
+            fh.write(head + _check(head))
+            for rec_head, payload in _records(ck):
+                fh.write(rec_head)
+                fh.write(payload)
+                fh.write(_check(rec_head, payload))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -205,46 +226,49 @@ def _check_records(path, run, records):
 def load_checkpoint(path):
     """Parse and verify a checkpoint file.
 
-    Raises CheckpointError on bad magic, version mismatch, digest mismatch,
-    truncation, a missing or bad header field (naming the file and the key),
-    or a record that repeats or does not fit the header's config (naming the
-    file and the record); a corrupted file never yields partial parameters.
-    The file is read once; every returned array is a read-only view into it.
+    Raises CheckpointError on bad magic, version mismatch, a header or
+    record checksum mismatch (naming the record), truncation, an I/O error,
+    a missing or bad header field (naming the file and the key), or a record
+    that repeats or does not fit the header's config (naming the file and
+    the record); a corrupted file never yields partial parameters. Every
+    returned array is owned, aligned and writable: its record is read
+    straight into it.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return _read_checkpoint(path, fh)
     except OSError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    if len(raw) < len(MAGIC) + 4 + 8 + 8:
-        raise CheckpointError(f"{path}: truncated file")
-    body = memoryview(raw)[:-8]
-    if not raw.startswith(MAGIC):
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-    if hashlib.blake2b(body, digest_size=8).digest() != raw[-8:]:
-        raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
 
-    pos = len(MAGIC)
 
-    def take(n):  # a view into body, never a copy
-        nonlocal pos
-        if pos + n > len(body):
+def _read_checkpoint(path, fh):
+    left = os.fstat(fh.fileno()).st_size
+
+    def take(n, dtype=None, shape=()):
+        """The next n bytes, or with a dtype a fresh array of that shape read
+        from them; n is checked against the bytes left in the file first, so
+        a corrupted length allocates nothing."""
+        nonlocal left
+        if n > left:
             raise CheckpointError(f"{path}: truncated file")
-        pos += n
-        return body[pos - n : pos]
+        left -= n
+        out = bytearray(n) if dtype is None else np.empty(shape, dtype)
+        if fh.readinto(out if dtype is None else out.reshape(-1).view(np.uint8)) != n:
+            raise CheckpointError(f"{path}: truncated file")
+        return out
 
-    (version,) = struct.unpack("<I", take(4))
+    prefix = take(_PREFIX.size)
+    magic, version, header_len = _PREFIX.unpack(prefix)
+    if magic != MAGIC:
+        raise CheckpointError(f"{path}: bad magic, not a checkpoint")
     if version != VERSION:
         raise CheckpointError(f"{path}: version {version} unsupported (expected {VERSION})")
-    (header_len,) = struct.unpack("<Q", take(8))
+    text = take(header_len)
+    if take(8) != _check(prefix, text):
+        raise CheckpointError(f"{path}: checksum mismatch in the header, file is corrupted")
     # a byte that is not UTF-8 becomes U+FFFD, which no field's parser accepts
-    header = str(take(header_len), "utf-8", "replace")
-    mapping = {}
-    for line in header.splitlines():
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        mapping[key] = value
+    lines = str(text, "utf-8", "replace").splitlines()
+    mapping = dict(line.partition("=")[::2] for line in lines if line)
 
     try:
         run = config.parse_run_config(mapping)
@@ -276,18 +300,24 @@ def load_checkpoint(path):
     val_history = field("val_history", _parse_val_history)
 
     records = {}
-    while pos < len(body):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = str(take(name_len), "utf-8")
-        if name in records:
-            raise CheckpointError(f"{path}: duplicate record {name!r}")
-        tag, ndim = struct.unpack("<BB", take(2))
+    for _ in range(field("records")):
+        lead = take(4)
+        named = take(struct.unpack("<I", lead)[0] + 2)  # name, dtype tag, ndim
+        name, tag, ndim = str(named[:-2], "utf-8", "replace"), named[-2], named[-1]
         if tag not in _TAG_DTYPES:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} in record {name!r}")
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        dtype = _TAG_DTYPES[tag]
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        records[name] = np.frombuffer(take(count * dtype.itemsize), dtype=dtype).reshape(shape)
+        dims = take(8 * ndim)
+        shape, dtype = struct.unpack(f"<{ndim}Q", dims), _TAG_DTYPES[tag]
+        if max(shape, default=0) > sys.maxsize:  # numpy cannot index it, even if empty
+            raise CheckpointError(f"{path}: record {name!r} has shape {list(shape)}")
+        arr = take(math.prod(shape) * dtype.itemsize, dtype, shape)
+        if take(8) != _check(lead, named, dims, arr):
+            raise CheckpointError(f"{path}: checksum mismatch in record {name!r}, file is corrupted")
+        if name in records:
+            raise CheckpointError(f"{path}: duplicate record {name!r}")
+        records[name] = arr
+    if left:
+        raise CheckpointError(f"{path}: {left} bytes after the header's {len(records)} records")
     _check_records(path, run, records)
     params = {name[len("param.") :]: a for name, a in records.items() if name.startswith("param.")}
     extras = {name: a for name, a in records.items() if not name.startswith("param.")}

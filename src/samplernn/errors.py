@@ -50,8 +50,9 @@ class ConfigError(SampleRnnError):
 
 
 class CheckpointError(SampleRnnError):
-    """Checkpoint file is unreadable: bad magic, version, checksum, header
-    field, or a record that does not fit the header's config."""
+    """Checkpoint file is unreadable: bad magic, version, checksum,
+    truncation, a read error, a header field, or a record that does not fit
+    the header's config."""
 
 
 class DivergenceError(SampleRnnError):

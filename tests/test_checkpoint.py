@@ -1,5 +1,8 @@
 import dataclasses
+import errno
 import hashlib
+import io
+import math
 import os
 import struct
 import tracemalloc
@@ -7,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import samplernn.checkpoint
 import samplernn.model
 from samplernn.checkpoint import (
     VERSION,
@@ -20,7 +24,7 @@ from samplernn.cli import main
 from samplernn.errors import CheckpointError, ContractError
 from samplernn.model import init_params, quantize
 from samplernn.training import Adam, TrainConfig, train_loop
-from samplernn.generate import GenConfig, generate_batch
+from samplernn.generate import GenConfig, checkpoint_generation_schedule, generate_batch
 
 from conftest import make_tone, toy_config
 
@@ -178,10 +182,8 @@ def test_version_mismatch_is_explicit(tmp_path):
     for found in (VERSION - 1, 99):
         raw = bytearray(saved)
         raw[8:12] = found.to_bytes(4, "little")  # rewrite the version field
-        # recompute the digest so only the version check can fail
-        body = bytes(raw[:-8])
-        raw[-8:] = hashlib.blake2b(body, digest_size=8).digest()
-        open(path, "wb").write(bytes(raw))
+        # recompute the checks so only the version check can fail
+        open(path, "wb").write(reseal(raw))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert f"version {found} unsupported (expected {VERSION})" in str(err.value)
@@ -237,8 +239,39 @@ def test_generation_from_saved_equals_live_model(tmp_path):
         assert np.array_equal(a.samples, b.samples)
 
 
+ITEMSIZE = {1: 4, 2: 8, 3: 8}  # by dtype tag
+
+
+def layout(raw):
+    """(end of the text header, [(name, start, payload start, check start)]
+    per record) of a checkpoint file's bytes; the header's check starts at
+    the end of the text header, and a record ends 8 bytes after its check
+    starts."""
+    (n,) = struct.unpack_from("<Q", raw, 12)
+    records, pos = [], 20 + n + 8
+    while pos < len(raw):
+        (name_len,) = struct.unpack_from("<I", raw, pos)
+        tag, ndim = raw[pos + 4 + name_len], raw[pos + 5 + name_len]
+        payload = pos + 6 + name_len + 8 * ndim
+        shape = struct.unpack_from(f"<{ndim}Q", raw, payload - 8 * ndim)
+        check = payload + math.prod(shape) * ITEMSIZE[tag]
+        records.append((bytes(raw[pos + 4 : pos + 4 + name_len]).decode(), pos, payload, check))
+        pos = check + 8
+    return 20 + n, records
+
+
+def reseal(raw):
+    """The file's bytes with the header's and every record's check recomputed."""
+    raw = bytearray(raw)
+    header_end, records = layout(raw)
+    raw[header_end : header_end + 8] = hashlib.sha256(raw[:header_end]).digest()[:8]
+    for _, start, _, check in records:
+        raw[check : check + 8] = hashlib.sha256(raw[start:check]).digest()[:8]
+    return bytes(raw)
+
+
 def rewrite_header(path, key, value):
-    """Set one header line (drop it when value is None) and re-seal the digest."""
+    """Set one header line (drop it when value is None) and re-seal the checks."""
     raw = open(path, "rb").read()
     (n,) = struct.unpack("<Q", raw[12:20])
     text = raw[20 : 20 + n].decode()
@@ -246,8 +279,8 @@ def rewrite_header(path, key, value):
     if value is not None:
         lines.append(f"{key}={value}")
     header = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
-    body = raw[:12] + struct.pack("<Q", len(header)) + header + raw[20 + n : -8]
-    open(path, "wb").write(body + hashlib.blake2b(body, digest_size=8).digest())
+    body = raw[:12] + struct.pack("<Q", len(header)) + header + raw[20 + n :]
+    open(path, "wb").write(reseal(body))
 
 
 @pytest.mark.parametrize("key, value, what", [
@@ -294,13 +327,14 @@ def test_resume_refuses_changed_model_config(tmp_path):
 
 
 def append_record(path, name, arr):
-    """Add one float32 record after the last and re-seal the digest."""
-    raw = open(path, "rb").read()
+    """Add one float32 record after the last, count it in the header's
+    records= line and re-seal the checks."""
     name_b = name.encode()
     record = struct.pack(f"<I{len(name_b)}sBB{arr.ndim}Q", len(name_b), name_b, 1, arr.ndim,
-                         *arr.shape) + arr.astype("<f4").tobytes()
-    body = raw[:-8] + record
-    open(path, "wb").write(body + hashlib.blake2b(body, digest_size=8).digest())
+                         *arr.shape) + arr.astype("<f4").tobytes() + bytes(8)
+    raw = open(path, "rb").read() + record
+    open(path, "wb").write(raw)
+    rewrite_header(path, "records", len(layout(raw)[1]))
 
 
 def test_duplicate_record_is_checkpoint_error(tmp_path, capsys):
@@ -361,3 +395,139 @@ def test_bad_record_is_checkpoint_error(tmp_path, capsys, record, edit):
         train_loop(init_params(toy_config(seed=21)), cfg, train, train[:1], str(tmp_path / "r"),
                    resume_from=path)
     assert str(err.value) == msg
+
+
+def assert_refused(path, tmp_path, capsys, phrase):
+    """load_checkpoint raises a CheckpointError that names the file and says
+    `phrase`, and `generate --ckpt` on the file exits 2 with its message."""
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    msg = str(err.value)
+    assert msg.startswith(f"{path}: ") and phrase in msg, msg
+    rc = main(["generate", "--ckpt", path, "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {msg}\n"
+    return msg
+
+
+@pytest.mark.parametrize("where", ["header", "param", "adam"])
+def test_flipped_byte_fails_its_own_check(tmp_path, capsys, where):
+    _, ck = fresh_checkpoint()
+    path = checkpoint_path(tmp_path, 40)
+    save_checkpoint(path, ck)
+    raw = bytearray(open(path, "rb").read())
+    header_end, records = layout(raw)
+    if where == "header":
+        at, phrase = header_end // 2, "checksum mismatch in the header"
+    else:
+        name, _, payload, check = next(r for r in records if r[0].startswith(where + "."))
+        at, phrase = (payload + check) // 2, f"checksum mismatch in record {name!r}"
+    raw[at] ^= 0x01
+    open(path, "wb").write(bytes(raw))
+    msg = assert_refused(path, tmp_path, capsys, phrase)
+
+    train = quantize(make_tone(60.0, 4 * 64 / 16000.0), 16).reshape(4, 64)
+    cfg = dataclasses.replace(ck.train_config, max_iterations=42)
+    with pytest.raises(CheckpointError) as err:
+        train_loop(init_params(toy_config(seed=21)), cfg, train, train[:1], str(tmp_path / "r"),
+                   resume_from=path)
+    assert str(err.value) == msg
+
+
+def test_truncation_anywhere_is_refused(tmp_path, capsys):
+    _, ck = fresh_checkpoint()
+    path = checkpoint_path(tmp_path, 40)
+    save_checkpoint(path, ck)
+    raw = open(path, "rb").read()
+    header_end, records = layout(raw)
+    boundaries = [header_end + 8] + [check + 8 for _, _, _, check in records[:-1]]
+    middles = [header_end // 2] + [(payload + check) // 2 for _, _, payload, check in records]
+    assert len(boundaries) == len(ck.params) + len(ck.extra_arrays)
+    for cut in boundaries + middles:
+        open(path, "wb").write(raw[:cut])
+        assert_refused(path, tmp_path, capsys, "truncated file")
+    # bytes past the header's record count are refused too
+    open(path, "wb").write(raw + bytes(8))
+    assert_refused(path, tmp_path, capsys, "8 bytes after the header's")
+
+
+@pytest.mark.parametrize("field", ["header length", "name length", "shape"])
+def test_corrupted_length_allocates_nothing(tmp_path, capsys, field):
+    _, ck = fresh_checkpoint()
+    path = checkpoint_path(tmp_path, 40)
+    save_checkpoint(path, ck)
+    raw = bytearray(open(path, "rb").read())
+    _, start, payload, _ = next(r for r in layout(raw)[1] if r[0] == "param.samp.out.b")
+    if field == "header length":
+        struct.pack_into("<Q", raw, 12, 2**40)
+    elif field == "name length":
+        struct.pack_into("<I", raw, start, 2**32 - 1)
+    else:  # the record is 1-D: its one dimension becomes 2**40 elements
+        struct.pack_into("<Q", raw, payload - 8, 2**40)
+    open(path, "wb").write(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated file"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(raw)
+    assert_refused(path, tmp_path, capsys, "truncated file")
+
+
+def test_unindexable_dimension_is_checkpoint_error(tmp_path, capsys):
+    # a flipped ndim can read an empty shape with a dimension numpy cannot index
+    _, ck = fresh_checkpoint()
+    path = checkpoint_path(tmp_path, 40)
+    save_checkpoint(path, ck)
+    raw = bytearray(open(path, "rb").read())
+    _, _, payload, _ = next(r for r in layout(raw)[1] if r[0] == "param.samp.out.b")
+    raw[payload - 9 : payload] = struct.pack("<BQQ", 2, 2**63, 0)
+    open(path, "wb").write(bytes(raw))
+    assert_refused(path, tmp_path, capsys,
+                   "record 'param.samp.out.b' has shape [9223372036854775808, 0]")
+
+
+def test_model_adopts_its_records(tmp_path):
+    model = init_params(toy_config(seed=21, hidden_dim=128))
+    ck = Checkpoint.capture(model, TrainConfig(batch_size=2, tbptt_len=8), 3, Adam(model.params),
+                            np.random.Generator(np.random.PCG64(0)), [], None)
+    path = checkpoint_path(tmp_path, 3)
+    save_checkpoint(path, ck)
+    back = load_checkpoint(path)
+    grad_bytes = sum(arr.nbytes for arr in back.params.values())
+    tracemalloc.start()
+    try:
+        rebuilt = model_from_checkpoint(back)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for name, arr in back.params.items():
+        assert rebuilt.params[name].data is arr, name
+    assert peak <= 1.01 * grad_bytes, (peak, grad_bytes)
+
+
+def test_read_error_is_checkpoint_error(tmp_path, monkeypatch, caplog):
+    _, ck = fresh_checkpoint()
+    path = checkpoint_path(tmp_path, 40)
+    save_checkpoint(path, ck)
+
+    class FailingReader(io.BufferedReader):
+        def readinto(self, buf):
+            if self.tell() > os.path.getsize(path) // 2:
+                raise OSError(errno.EIO, "Input/output error")
+            return super().readinto(buf)
+
+    def failing_open(file, mode):
+        return FailingReader(io.FileIO(file, mode))
+
+    monkeypatch.setattr(samplernn.checkpoint, "open", failing_open, raising=False)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: [Errno 5] Input/output error"
+    # the schedule skips the file instead of aborting the directory
+    with pytest.raises(CheckpointError, match="no valid checkpoints"):
+        checkpoint_generation_schedule(str(tmp_path), GenConfig(n_seq=1, clip_seconds=0.01),
+                                       str(tmp_path / "o"))
+    assert str(err.value) in caplog.text

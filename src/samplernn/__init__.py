@@ -38,7 +38,6 @@ from .gradcheck import GradCheckReport, grad_check, standard_checks
 from .model import (
     ModelConfig,
     ModelState,
-    RecurrentState,
     SampleRnnModel,
     dequantize,
     gru_cell,
@@ -68,7 +67,6 @@ __all__ = [
     "ModelConfig",
     "ModelState",
     "ParamStore",
-    "RecurrentState",
     "RunConfig",
     "SampleRnnModel",
     "Tape",

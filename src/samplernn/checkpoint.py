@@ -13,15 +13,14 @@ A save streams each record's own bytes, hashing them on the way, into a
 temp file, then renames it atomically. A load checks magic and version,
 then the header's check before it parses a field, then reads each record
 straight into a fresh array and checks it there, so it holds no
-file-sized buffer and allocates nothing the file's size cannot back. Every
-param, adam and carry record is then checked against the header config's
-parameter table (`model.param_shapes`), so `model_from_checkpoint` adopts
-the param records as they are and `Checkpoint.restore` copies records
-without checking them again.
+file-sized buffer and allocates nothing the file's size cannot back. The
+records are then checked against the header config's tables in `model`:
+`param_shapes` for the param and adam records, `carry_shapes` for the
+carry. So both load paths adopt the records as they are, with no copy:
+`model_from_checkpoint` for generation and `Checkpoint.restore` for resume.
 
-Besides parameters and Adam moments, a checkpoint stores the training
-carry state (per-layer recurrent vectors plus the last frame's codes and
-conditioning), so resuming mid-chunk reproduces the uninterrupted loss
+Besides parameters and Adam moments, a checkpoint stores the warm training
+carry state, so resuming mid-chunk reproduces the uninterrupted loss
 trajectory exactly.
 """
 
@@ -39,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .autodiff import ParamStore, Tensor
+from .autodiff import ParamStore
 from .errors import CheckpointError, ConfigError, ContractError
-from .model import CELL_LSTM, ModelConfig, ModelState, RecurrentState, SampleRnnModel, param_shapes
+from .model import ModelConfig, ModelState, SampleRnnModel, carry_shapes, param_shapes
 
 MAGIC = b"SRNNCKPT"
 VERSION = 3
@@ -72,15 +71,9 @@ class Checkpoint:
         for name, _ in model.params.items():
             extras[f"adam.m.{name}"] = optimizer.m[name]
             extras[f"adam.v.{name}"] = optimizer.v[name]
-        if carry_state is not None:
-            for l, h in enumerate(carry_state.rnn.h):
-                extras[f"carry.h{l}"] = h.data
-            if carry_state.rnn.c is not None:
-                for l, c in enumerate(carry_state.rnn.c):
-                    extras[f"carry.c{l}"] = c.data
-            if carry_state.prev_codes is not None:
-                extras["carry.prev_codes"] = carry_state.prev_codes
-                extras["carry.prev_cond"] = carry_state.prev_cond
+        if carry_state is not None:  # warm: a cold state is never carried
+            extras.update({f"carry.{name}": arr
+                           for name, arr in carry_state.arrays(model.config).items()})
         return cls(
             model.config,
             train_cfg,
@@ -93,30 +86,24 @@ class Checkpoint:
         )
 
     def restore(self, model, optimizer, rng):
-        """Load parameters, Adam moments and step, and PRNG state into live
-        training objects; return the carried ModelState, or None. Every
-        record is copied into the model's and Adam's own arrays, and the
-        carry is copied, so the live objects share nothing with this
-        checkpoint."""
+        """Make the model's parameters and Adam's moments the param and adam
+        records themselves, set Adam's step and the PRNG state, and return
+        the carried ModelState on the carry records, or None. Nothing is
+        copied: the load has checked every record against the model's
+        tables, and the live objects adopt them."""
+        if self.params["embed"].dtype != model.dtype:
+            raise ContractError(f"{self.params['embed'].dtype} records for a {model.dtype} model")
         ex = self.extra_arrays
         for name, t in model.params.items():
-            t.data[...] = self.params[name]
-            optimizer.m[name][...] = ex[f"adam.m.{name}"]
-            optimizer.v[name][...] = ex[f"adam.v.{name}"]
+            t.data = self.params[name]
+            optimizer.m[name] = ex[f"adam.m.{name}"]
+            optimizer.v[name] = ex[f"adam.v.{name}"]
         optimizer.step_count = self.adam_step
         rng.bit_generator.state = self.rng_state
-        carry = {name: arr.copy() for name, arr in ex.items() if name.startswith("carry.")}
-        if "carry.h0" not in carry:
+        names = carry_shapes(self.model_config, self.train_config.batch_size, model.dtype)
+        if not all(f"carry.{name}" in ex for name in names):
             return None
-        layers = range(model.config.n_layers)
-        return ModelState(
-            RecurrentState(
-                [Tensor(carry[f"carry.h{l}"]) for l in layers],
-                [Tensor(carry[f"carry.c{l}"]) for l in layers] if "carry.c0" in carry else None,
-            ),
-            prev_codes=carry.get("carry.prev_codes"),
-            prev_cond=carry.get("carry.prev_cond"),
-        )
+        return ModelState.from_arrays(self.model_config, {name: ex[f"carry.{name}"] for name in names})
 
 
 def model_from_checkpoint(ck):
@@ -198,10 +185,10 @@ def _parse_val_history(text):
 def _check_records(path, run, records):
     """Raise CheckpointError naming the file and the record unless the
     param.*, adam.m.* and adam.v.* records are exactly the parameter table
-    of the header's model config, all in param.embed's float dtype, and any
-    carried state (carry.h0 or carry.prev_*) is complete for train.batch_size
-    rows. Other records pass through."""
-    m, b = run.model, run.train.batch_size
+    of the header's model config, all in param.embed's float dtype, and the
+    carry.* records of its carry table for train.batch_size rows are all
+    there or all absent. Other records pass through."""
+    m = run.model
     embed = records.get("param.embed", np.empty(0, "<f4"))
     dtype = embed.dtype if embed.dtype.kind == "f" else np.dtype("<f4")
     want = {prefix + name: (shape, dtype) for prefix in ("param.", "adam.m.", "adam.v.")
@@ -209,13 +196,9 @@ def _check_records(path, run, records):
     for name in records:
         if name.startswith(("param.", "adam.")) and name not in want:
             raise CheckpointError(f"{path}: unexpected record {name!r} for the header's model config")
-    prev = {"carry.prev_codes": ((b, m.frame_size), np.dtype("<i8")),
-            "carry.prev_cond": ((b, m.frame_size, m.hidden_dim), dtype)}
-    if "carry.h0" in records or prev.keys() & records.keys():
-        want.update({f"carry.{s}{l}": ((b, m.hidden_dim), dtype)
-                     for s in ("hc" if m.cell == CELL_LSTM else "h") for l in range(m.n_layers)})
-    if prev.keys() & records.keys():
-        want.update(prev)
+    carry = {f"carry.{name}": s for name, s in carry_shapes(m, run.train.batch_size, dtype).items()}
+    if carry.keys() & records.keys():
+        want.update(carry)
     for name, (shape, kind) in want.items():
         arr = records.get(name)
         if arr is None or arr.shape != shape or arr.dtype != kind:

@@ -95,8 +95,8 @@ def generate_batch(model, cfg):
     if n_samples < 1:
         raise ContractError("clip too short to generate")
 
-    folded_bytes = sum(t.data.nbytes for name, t in model.params.items() if name.endswith(".v"))
-    est_bytes = folded_bytes + cfg.n_seq * (
+    model = model.folded()
+    est_bytes = sum(a.nbytes for a in model.params.arrays().values()) + cfg.n_seq * (
         (n_samples + fs) * 8  # int64 codes
         + (fs + 2 * mcfg.n_layers) * mcfg.hidden_dim * model.dtype.itemsize  # conditioning, state
         + n_samples * (8 + 4)  # float64 and float32 output copies
@@ -107,19 +107,18 @@ def generate_batch(model, cfg):
             f"(budget {cfg.memory_budget_bytes}); reduce n_seq"
         )
 
-    model = model.folded()
     streams = [sequence_stream(cfg.seed, k) for k in range(cfg.n_seq)]
     argmax = cfg.mode == MODE_ARGMAX
     silence = quantize(0.0, mcfg.q_levels)
     codes = np.full((cfg.n_seq, fs + n_samples), silence, dtype=np.int64)
 
     with ad.no_grad(row_products=True):
-        rnn = model.initial_state(cfg.n_seq, rng=streams).rnn
+        state = model.initial_state(cfg.n_seq, rng=streams)
         cond = np.zeros((cfg.n_seq, fs, mcfg.hidden_dim), dtype=model.dtype)
         for t in range(fs, fs + n_samples):
             k = t % fs
             if k == 0:  # a new frame of history is complete; advance the tier
-                cond_t, rnn = model.frame_tier_forward(codes[:, t - fs : t], rnn)
+                cond_t, state = model.frame_tier_forward(codes[:, t - fs : t], state)
                 cond = cond_t.data.reshape(cfg.n_seq, fs, mcfg.hidden_dim)
             logits = model.sample_tier_forward(
                 codes[:, t - fs : t], Tensor(cond[:, k])

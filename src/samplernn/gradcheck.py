@@ -162,7 +162,7 @@ def standard_checks(tolerance=1e-4, seed=0):
     mix_c = Tensor(rng.standard_normal((2, h)))
 
     def lstm_loss():
-        h2, c2 = mdl.lstm_cell(ps["x"], (ps["h"], ps["c"]), mdl.CellWeights(ps["w"], ps["b"]))
+        h2, c2 = mdl.lstm_cell(ps["x"], (ps["h"], ps["c"]), (ps["w"], ps["b"]))
         return ad.add(ad.sum_all(ad.mul(h2, mix_h)), ad.sum_all(ad.mul(c2, mix_c)))
 
     run("lstm_cell", ps, lstm_loss)
@@ -173,7 +173,7 @@ def standard_checks(tolerance=1e-4, seed=0):
     mix = Tensor(rng.standard_normal((2, h)))
     run("gru_cell", ps,
         lambda: ad.sum_all(ad.mul(
-            mdl.gru_cell(ps["x"], ps["h"], mdl.CellWeights(ps["wz"], ps["bz"], ps["wc"], ps["bc"])),
+            mdl.gru_cell(ps["x"], ps["h"], (ps["wz"], ps["bz"]), (ps["wc"], ps["bc"])),
             mix)))
 
     # upsampler / frame tier: conditioning of a 2-layer skip stack
@@ -182,7 +182,7 @@ def standard_checks(tolerance=1e-4, seed=0):
     mix = Tensor(rng.standard_normal((2, 3, 2, 6)))
 
     def frame_loss():
-        cond, _ = model.frame_tier_forward(codes, model.initial_state(2).rnn)
+        cond, _ = model.frame_tier_forward(codes, model.initial_state(2))
         return ad.sum_all(ad.mul(cond, mix))
 
     run("upsampler", model.params, frame_loss)

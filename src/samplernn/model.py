@@ -7,9 +7,9 @@ conditioning vectors. The sample tier embeds the previous `frame_size`
 codes, mixes them with the matching conditioning vector, and emits logits
 over the quantization levels.
 
-Carried state is explicit: the recurrent vectors plus the last frame's codes
-and conditioning rows, which is exactly what makes segment-by-segment
-processing equal to one whole-sequence pass.
+Carried state is explicit, and `carry_shapes` names it: the recurrent
+vectors plus the last frame's codes and conditioning rows, which is exactly
+what makes segment-by-segment processing equal to one whole-sequence pass.
 """
 
 from __future__ import annotations
@@ -89,24 +89,19 @@ def dequantize(codes, q_levels=256):
     return float(out) if np.ndim(codes) == 0 else out
 
 
-@dataclass
-class CellWeights:
-    """Effective (post weight-norm) affine maps for one recurrent layer."""
-
-    w: Tensor  # lstm: [in+H, 4H]; gru: update/reset [in+H, 2H]
-    b: Tensor
-    w2: Tensor | None = None  # gru candidate map [in+H, H]
-    b2: Tensor | None = None
+# each cell's recurrent maps, (name, width k) of an [in+H, k*H] affine over
+# the concatenated input and hidden vector: the only place they are named
+CELL_MAPS = {CELL_LSTM: (("gates", 4),), CELL_GRU: (("zr", 2), ("cand", 1))}
 
 
-def lstm_cell(x, state, weights):
+def lstm_cell(x, state, gates):
     """One LSTM step: gate order i, f, g, o along the fused affine output.
 
-    c' = f*c + i*g, h' = o*tanh(c'). Returns (h', c').
+    c' = f*c + i*g, h' = o*tanh(c'). gates is a (w, b) pair. Returns (h', c').
     """
     h, c = state
     hidden = h.shape[1]
-    z = ad.affine(ad.concat([x, h], axis=1), weights.w, weights.b)
+    z = ad.affine(ad.concat([x, h], axis=1), *gates)
     if z.shape[1] != 4 * hidden:
         raise ShapeError(f"lstm gates shape {z.shape} != [B, {4 * hidden}]")
     i = ad.sigmoid(ad.narrow(z, 1, 0, hidden))
@@ -118,37 +113,39 @@ def lstm_cell(x, state, weights):
     return h2, c2
 
 
-def gru_cell(x, h, weights):
+def gru_cell(x, h, zr, cand):
     """One GRU step: h' = (1-z)*h + z*h~ with h~ = tanh(W [x, r*h] + b)."""
     hidden = h.shape[1]
-    zr = ad.affine(ad.concat([x, h], axis=1), weights.w, weights.b)
-    if zr.shape[1] != 2 * hidden:
-        raise ShapeError(f"gru update/reset shape {zr.shape} != [B, {2 * hidden}]")
-    z = ad.sigmoid(ad.narrow(zr, 1, 0, hidden))
-    r = ad.sigmoid(ad.narrow(zr, 1, hidden, hidden))
-    cand = ad.tanh(ad.affine(ad.concat([x, ad.mul(r, h)], axis=1), weights.w2, weights.b2))
-    return ad.add(ad.mul(ad.scale_shift(z, -1.0, 1.0), h), ad.mul(z, cand))
+    gates = ad.affine(ad.concat([x, h], axis=1), *zr)
+    if gates.shape[1] != 2 * hidden:
+        raise ShapeError(f"gru update/reset shape {gates.shape} != [B, {2 * hidden}]")
+    z = ad.sigmoid(ad.narrow(gates, 1, 0, hidden))
+    r = ad.sigmoid(ad.narrow(gates, 1, hidden, hidden))
+    h_new = ad.tanh(ad.affine(ad.concat([x, ad.mul(r, h)], axis=1), *cand))
+    return ad.add(ad.mul(ad.scale_shift(z, -1.0, 1.0), h), ad.mul(z, h_new))
 
 
-@dataclass
-class RecurrentState:
-    """Per-layer hidden vectors (plus cell vectors for LSTM), batch-major."""
-
-    h: list
-    c: list | None = None
-
-    def detached(self):
-        return RecurrentState(
-            [t.detach() for t in self.h],
-            None if self.c is None else [t.detach() for t in self.c],
-        )
+def carry_shapes(config, batch, dtype):
+    """Ordered name -> (shape, dtype) of a warm carried state, the only place
+    carry names are written: each layer's h, then its c for LSTM, then the
+    last frame's codes and conditioning. ModelState converts through it, and
+    a checkpoint's carry records are checked against it."""
+    hid, fs, layers = config.hidden_dim, config.frame_size, range(config.n_layers)
+    cells = "hc" if config.cell == CELL_LSTM else "h"
+    shapes = {f"{s}{l}": ((batch, hid), dtype) for s in cells for l in layers}
+    shapes["prev_codes"] = ((batch, fs), np.dtype(np.int64))
+    shapes["prev_cond"] = ((batch, fs, hid), dtype)
+    return shapes
 
 
 @dataclass
 class ModelState:
-    """Everything carried between consecutive segments of one sequence."""
+    """Everything carried between consecutive segments of one sequence: the
+    per-layer recurrent vectors, batch-major, and once warm the last frame's
+    codes and conditioning rows."""
 
-    rnn: RecurrentState
+    h: list
+    c: list | None = None  # LSTM only
     prev_codes: np.ndarray | None = None  # [B, frame_size] int64
     prev_cond: np.ndarray | None = None  # [B, frame_size, hidden] values
 
@@ -157,7 +154,21 @@ class ModelState:
         return self.prev_codes is not None
 
     def detached(self):
-        return ModelState(self.rnn.detached(), self.prev_codes, self.prev_cond)
+        return replace(self, h=[t.detach() for t in self.h],
+                       c=None if self.c is None else [t.detach() for t in self.c])
+
+    def arrays(self, config):
+        """A warm state as {carry_shapes name: array}, sharing its arrays."""
+        values = [t.data for t in self.h + (self.c or [])] + [self.prev_codes, self.prev_cond]
+        return dict(zip(carry_shapes(config, len(self.prev_codes), self.prev_cond.dtype), values))
+
+    @classmethod
+    def from_arrays(cls, config, arrays):
+        """The warm state whose entries are `arrays`, keyed and ordered as
+        carry_shapes; it adopts the arrays as they are."""
+        *rnn, prev_codes, prev_cond = arrays.values()
+        rnn = [Tensor(a) for a in rnn]
+        return cls(rnn[: config.n_layers], rnn[config.n_layers :] or None, prev_codes, prev_cond)
 
 
 @dataclass
@@ -203,14 +214,6 @@ class SampleRnnModel:
                 params.add(name, t.data, trainable=False)
         return SampleRnnModel(config, params)
 
-    def _cell_weights(self, layer):
-        if self.config.cell == CELL_LSTM:
-            w, b = self._linear(f"rnn{layer}.gates")
-            return CellWeights(w, b)
-        wz, bz = self._linear(f"rnn{layer}.zr")
-        wc, bc = self._linear(f"rnn{layer}.cand")
-        return CellWeights(wz, bz, wc, bc)
-
     # -- state --------------------------------------------------------------
 
     def initial_state(self, batch_size, rng=None):
@@ -240,18 +243,18 @@ class SampleRnnModel:
                 ]).astype(self.dtype))
         h = [h0(f"h0.h{l}") for l in range(cfg.n_layers)]
         c = [h0(f"h0.c{l}") for l in range(cfg.n_layers)] if cfg.cell == CELL_LSTM else None
-        return ModelState(RecurrentState(h, c))
+        return ModelState(h, c)
 
     # -- frame tier ---------------------------------------------------------
 
-    def frame_tier_forward(self, codes, rnn_state):
-        """Advance the stack one step per frame of codes.
+    def frame_tier_forward(self, codes, state):
+        """Advance the stack one step per frame of codes from state's h and c.
 
-        codes: int [B, T*frame_size]. Returns (conditioning [B, T,
-        frame_size, hidden] as a Tensor, new RecurrentState). Only the
-        recurrence runs frame by frame: the input map runs once over all B*T
-        frames before the loop, and each layer's skip map and the upsampler
-        once over all frames after it. The upsampler is one [hidden,
+        codes: int [B, T*frame_size]. Returns (conditioning [B, T, frame_size,
+        hidden] as a Tensor, the cold ModelState after the last frame). Only
+        the recurrence runs frame by frame: the input map runs once over all
+        B*T frames before the loop, and each layer's skip map and the
+        upsampler once over all frames after it. The upsampler is one [hidden,
         frame_size*hidden] map whose column block k is intra-frame position
         k's linear map.
         """
@@ -270,18 +273,19 @@ class SampleRnnModel:
         # batch-major rows: frame t of row i is x_in[i, t*hid:(t+1)*hid]
         x_in = ad.reshape(ad.affine(Tensor(frames), *self._linear("frame_in")),
                           (b, t_steps * hid))
-        cells = [self._cell_weights(l) for l in range(cfg.n_layers)]
+        maps = CELL_MAPS[cfg.cell]
+        cells = [[self._linear(f"rnn{l}.{name}") for name, _ in maps] for l in range(cfg.n_layers)]
 
-        h = list(rnn_state.h)
-        c = list(rnn_state.c) if rnn_state.c is not None else None
+        h = list(state.h)
+        c = list(state.c) if state.c is not None else None
         outs = [[] for _ in range(cfg.n_layers)]
         for t in range(t_steps):
             x = ad.narrow(x_in, 1, t * hid, hid)
             for l in range(cfg.n_layers):
                 if cfg.cell == CELL_LSTM:
-                    h[l], c[l] = lstm_cell(x, (h[l], c[l]), cells[l])
+                    h[l], c[l] = lstm_cell(x, (h[l], c[l]), *cells[l])
                 else:
-                    h[l] = gru_cell(x, h[l], cells[l])
+                    h[l] = gru_cell(x, h[l], *cells[l])
                 x = h[l]
                 outs[l].append(x)
 
@@ -297,7 +301,7 @@ class SampleRnnModel:
             out = over_frames(cfg.n_layers - 1)
         cond = ad.reshape(ad.affine(out, *self._linear("up")),
                           (b, t_steps, cfg.frame_size, hid))
-        return cond, RecurrentState(h, c)
+        return cond, ModelState(h, c)
 
     # -- sample tier ----------------------------------------------------------
 
@@ -353,7 +357,7 @@ class SampleRnnModel:
                 f"cold segment needs at least {2 * fs} samples, got {length}"
             )
 
-        cond, rnn = self.frame_tier_forward(codes, state.rnn)
+        cond, cold = self.frame_tier_forward(codes, state)
         t_steps = length // fs
 
         if state.warm:
@@ -377,10 +381,8 @@ class SampleRnnModel:
         logits = self.sample_tier_forward(wins.reshape(b * count, fs), cond_flat)
         targets = codes[:, start:].reshape(-1)
 
-        new_state = ModelState(
-            rnn,
-            prev_codes=codes[:, -fs:].copy(),
-            prev_cond=cond.data[:, t_steps - 1].copy(),
+        new_state = replace(
+            cold, prev_codes=codes[:, -fs:].copy(), prev_cond=cond.data[:, t_steps - 1].copy()
         )
         return ForwardResult(logits, targets, b, count, new_state)
 
@@ -421,9 +423,7 @@ def param_shapes(config):
     cfg, h, layers = config, config.hidden_dim, range(config.n_layers)
     lstm = cfg.cell == CELL_LSTM
     maps = [("frame_in", cfg.frame_size, h)]  # (name, fan_in, fan_out) per linear map
-    for l in layers:
-        maps += ([(f"rnn{l}.gates", 2 * h, 4 * h)] if lstm
-                 else [(f"rnn{l}.zr", 2 * h, 2 * h), (f"rnn{l}.cand", 2 * h, h)])
+    maps += [(f"rnn{l}.{name}", 2 * h, k * h) for l in layers for name, k in CELL_MAPS[cfg.cell]]
     maps += [(f"skip{l}", h, h) for l in layers if cfg.skip_connections]
     maps += [("up", h, cfg.frame_size * h)]  # column block k: position k's map
     maps += [("samp.in", cfg.frame_size * cfg.embed_size, h), ("samp.h1", h, h),

@@ -254,7 +254,7 @@ def train_loop(
         state = ck.restore(model, optimizer, rng)
         start_iter = ck.iteration
         val_history = list(ck.val_history)
-        del ck  # restore copied every record it needs; free the file-sized rest
+        del ck  # model, Adam and carry now own its records; each keeps one owner
 
     metrics = []
     checkpoint_paths = []

@@ -22,7 +22,7 @@ from samplernn.checkpoint import (
 )
 from samplernn.cli import main
 from samplernn.errors import CheckpointError, ContractError
-from samplernn.model import init_params, quantize
+from samplernn.model import carry_shapes, init_params, quantize
 from samplernn.training import Adam, TrainConfig, train_loop
 from samplernn.generate import GenConfig, checkpoint_generation_schedule, generate_batch
 
@@ -133,14 +133,38 @@ def test_restore_hands_on_owned_writeable_arrays(tmp_path):
     owned = {f"param.{name}": t.data for name, t in model.params.items()}
     owned.update({f"adam.m.{name}": a for name, a in opt.m.items()})
     owned.update({f"adam.v.{name}": a for name, a in opt.v.items()})
-    owned.update({f"carry.h{l}": t.data for l, t in enumerate(carry.rnn.h)})
-    owned.update({f"carry.c{l}": t.data for l, t in enumerate(carry.rnn.c)})
+    owned.update({f"carry.h{l}": t.data for l, t in enumerate(carry.h)})
+    owned.update({f"carry.c{l}": t.data for l, t in enumerate(carry.c)})
     owned.update({"carry.prev_codes": carry.prev_codes, "carry.prev_cond": carry.prev_cond})
     assert len(owned) == len(ck.params) + len(ck.extra_arrays)
     for name, arr in owned.items():
         assert arr.flags.owndata and arr.flags.writeable, name
         stored = ck.params[name[len("param."):]] if name.startswith("param.") else ck.extra_arrays[name]
         assert arr.dtype == stored.dtype and np.array_equal(arr, stored), name
+        loaded = back.params[name[len("param."):]] if name.startswith("param.") else back.extra_arrays[name]
+        assert arr is loaded, name  # adopted, not copied
+
+
+def test_restore_refuses_records_of_another_dtype():
+    _, ck = fresh_checkpoint()
+    model = init_params(ck.model_config, dtype=np.float64)
+    with pytest.raises(ContractError, match="float32 records for a float64 model"):
+        ck.restore(model, Adam(model.params), np.random.Generator(np.random.PCG64(0)))
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_capture_writes_the_carry_table(cell):
+    model = init_params(toy_config(seed=21, cell=cell))
+    codes = np.arange(32).reshape(2, 16) % model.config.q_levels
+    warm = model.forward_logits(codes, model.initial_state(2)).state.detached()
+    ck = Checkpoint.capture(model, TrainConfig(batch_size=2, tbptt_len=16), 1, Adam(model.params),
+                            np.random.Generator(np.random.PCG64(0)), [], warm)
+    carry = {name: a for name, a in ck.extra_arrays.items() if name.startswith("carry.")}
+    table = carry_shapes(model.config, 2, model.dtype)
+    assert list(carry) == [f"carry.{name}" for name in table]
+    for name, (shape, dtype) in table.items():
+        assert carry[f"carry.{name}"].shape == shape, name
+        assert carry[f"carry.{name}"].dtype == dtype, name
 
 
 def test_corrupted_byte_is_rejected(tmp_path):

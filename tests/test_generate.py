@@ -20,6 +20,7 @@ from samplernn.generate import (
     generate_batch,
     sample_categorical,
     sequence_stream,
+    write_checkpoint_clips,
 )
 from samplernn.model import init_params
 from samplernn.training import Adam, TrainConfig
@@ -211,6 +212,22 @@ def test_memory_budget_error_names_n_seq():
     with pytest.raises(GenerationMemoryError) as err:
         generate_batch(model, cfg)
     assert "n_seq" in str(err.value)
+
+
+def test_memory_budget_counts_the_folded_weights(tmp_path):
+    # write_checkpoint_clips hands generate_batch a folded model, whose
+    # weights are name.w entries; the estimate must count them too
+    path = save_toy_checkpoint(tmp_path, 4)
+    model = toy_model()
+    weights = sum(a.nbytes for a in model.folded().params.arrays().values())
+    c, n, fs = model.config, 2080, model.config.frame_size  # 0.13 s at 16 kHz
+    state = 2 * ((n + fs) * 8 + (fs + 2 * c.n_layers) * c.hidden_dim * 4 + n * 12)
+    cfg = GenConfig(n_seq=2, clip_seconds=0.13, memory_budget_bytes=state + weights // 2)
+    with pytest.raises(GenerationMemoryError, match="n_seq"):
+        write_checkpoint_clips(path, cfg, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+    cfg = GenConfig(n_seq=2, clip_seconds=0.13, memory_budget_bytes=state + weights)
+    assert len(write_checkpoint_clips(path, cfg, str(tmp_path / "out"))) == 2
 
 
 def test_gen_config_validation():

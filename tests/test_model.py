@@ -8,8 +8,8 @@ from samplernn import autodiff as ad
 from samplernn.autodiff import Tensor
 from samplernn.errors import ContractError, FramingError, ShapeError
 from samplernn.model import (
+    CELL_MAPS,
     H0_RANDOM_STD,
-    CellWeights,
     ModelConfig,
     dequantize,
     gru_cell,
@@ -78,15 +78,15 @@ def test_quantize_rejects_nan():
 
 def zero_cell(in_dim, hidden, forget_bias=3.0, gru=False, dtype=np.float64):
     if gru:
-        return CellWeights(
-            Tensor(np.zeros((in_dim + hidden, 2 * hidden), dtype)),
-            Tensor(np.zeros(2 * hidden, dtype)),
-            Tensor(np.zeros((in_dim + hidden, hidden), dtype)),
-            Tensor(np.zeros(hidden, dtype)),
+        return (
+            (Tensor(np.zeros((in_dim + hidden, 2 * hidden), dtype)),
+             Tensor(np.zeros(2 * hidden, dtype))),
+            (Tensor(np.zeros((in_dim + hidden, hidden), dtype)),
+             Tensor(np.zeros(hidden, dtype))),
         )
     bias = np.zeros(4 * hidden, dtype)
     bias[hidden : 2 * hidden] = forget_bias
-    return CellWeights(Tensor(np.zeros((in_dim + hidden, 4 * hidden), dtype)), Tensor(bias))
+    return (Tensor(np.zeros((in_dim + hidden, 4 * hidden), dtype)), Tensor(bias))
 
 
 def test_lstm_forget_gate_bias_three():
@@ -111,19 +111,19 @@ def test_lstm_all_zero_gives_zero():
 def test_gru_carry_through_when_update_gate_closed(rng):
     # large negative update-gate bias forces z ~ 0, so h' ~ h
     hidden = 6
-    w = CellWeights(
-        Tensor(rng.normal(size=(3 + hidden, 2 * hidden)) * 0.1),
-        Tensor(np.concatenate([np.full(hidden, -30.0), np.zeros(hidden)])),
-        Tensor(rng.normal(size=(3 + hidden, hidden)) * 0.1),
-        Tensor(np.zeros(hidden)),
+    w = (
+        (Tensor(rng.normal(size=(3 + hidden, 2 * hidden)) * 0.1),
+         Tensor(np.concatenate([np.full(hidden, -30.0), np.zeros(hidden)]))),
+        (Tensor(rng.normal(size=(3 + hidden, hidden)) * 0.1),
+         Tensor(np.zeros(hidden))),
     )
     h = Tensor(rng.normal(size=(2, hidden)))
-    h2 = gru_cell(Tensor(rng.normal(size=(2, 3))), h, w)
+    h2 = gru_cell(Tensor(rng.normal(size=(2, 3))), h, *w)
     assert np.allclose(h2.data, h.data, atol=1e-10)
 
 
 def test_gru_all_zero_gives_zero():
-    h2 = gru_cell(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))), zero_cell(4, 4, gru=True))
+    h2 = gru_cell(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))), *zero_cell(4, 4, gru=True))
     assert np.allclose(h2.data, 0.0)
 
 
@@ -133,14 +133,14 @@ def test_gru_all_zero_gives_zero():
 def test_frame_tier_single_step_shape():
     model = init_params(toy_config())
     codes = np.zeros((1, 4), dtype=np.int64)
-    cond, _ = model.frame_tier_forward(codes, model.initial_state(1).rnn)
+    cond, _ = model.frame_tier_forward(codes, model.initial_state(1))
     assert cond.shape == (1, 1, 4, 8)  # exactly frame_size conditioning vectors
 
 
 def test_frame_tier_rejects_ragged_length():
     model = init_params(toy_config())
     with pytest.raises(FramingError):
-        model.frame_tier_forward(np.zeros((1, 6), dtype=np.int64), model.initial_state(1).rnn)
+        model.frame_tier_forward(np.zeros((1, 6), dtype=np.int64), model.initial_state(1))
 
 
 def test_frame_tier_matches_hand_computed_reference():
@@ -153,7 +153,7 @@ def test_frame_tier_matches_hand_computed_reference():
     model = init_params(cfg, dtype=np.float64)
     p = model.params
     codes = np.array([[0, 3, 1, 2]])
-    cond, _ = model.frame_tier_forward(codes, model.initial_state(1).rnn)
+    cond, _ = model.frame_tier_forward(codes, model.initial_state(1))
 
     def sigmoid(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -179,8 +179,8 @@ def test_frame_tier_state_threading():
     rng = np.random.default_rng(0)
     a = rng.integers(0, 16, (2, 12))
     b = rng.integers(0, 16, (2, 8))
-    whole, _ = model.frame_tier_forward(np.hstack([a, b]), model.initial_state(2).rnn)
-    cond_a, state = model.frame_tier_forward(a, model.initial_state(2).rnn)
+    whole, _ = model.frame_tier_forward(np.hstack([a, b]), model.initial_state(2))
+    cond_a, state = model.frame_tier_forward(a, model.initial_state(2))
     cond_b, _ = model.frame_tier_forward(b, state)
     joined = np.concatenate([cond_a.data, cond_b.data], axis=1)
     assert np.allclose(whole.data, joined, atol=1e-12)
@@ -202,16 +202,16 @@ def test_frame_tier_loop_holds_only_the_recurrence(monkeypatch, cell, skip):
 
     model = init_params(toy_config(cell=cell, n_layers=3, skip_connections=skip))
     hid, fs = model.config.hidden_dim, model.config.frame_size
-    weights = model._cell_weights(0)
+    weights = [model._linear(f"rnn0.{name}") for name, _ in CELL_MAPS[cell]]
     x, h, c = (Tensor(np.zeros((2, hid), dtype=np.float32), requires_grad=True)
                for _ in range(3))
     if cell == "lstm":
-        per_cell = ops(lambda: lstm_cell(x, (h, c), weights))
+        per_cell = ops(lambda: lstm_cell(x, (h, c), *weights))
     else:
-        per_cell = ops(lambda: gru_cell(x, h, weights))
+        per_cell = ops(lambda: gru_cell(x, h, *weights))
     codes = np.zeros((2, 4 * fs), dtype=np.int64)
     per_t = [ops(lambda t=t: model.frame_tier_forward(codes[:, : t * fs],
-                                                      model.initial_state(2).rnn))
+                                                      model.initial_state(2)))
              for t in (1, 2, 3, 4)]
     assert np.diff(per_t).tolist() == [1 + 3 * per_cell] * 3
 
@@ -321,7 +321,7 @@ def test_randomized_initial_state_equals_block_draws():
     ref = np.random.Generator(np.random.PCG64(21))
     h = [ref.normal(0.0, H0_RANDOM_STD, (b, hid)).astype(np.float32) for _ in range(3)]
     c = [ref.normal(0.0, H0_RANDOM_STD, (b, hid)).astype(np.float32) for _ in range(3)]
-    for got, want in zip(state.rnn.h + state.rnn.c, h + c):
+    for got, want in zip(state.h + state.c, h + c):
         assert got.data.dtype == np.float32
         assert got.data.tobytes() == want.tobytes()
 
@@ -332,8 +332,8 @@ def test_randomized_initial_state_per_row_streams():
     def streams(seeds):
         return [np.random.Generator(np.random.PCG64(s)) for s in seeds]
 
-    pair = model.initial_state(2, rng=streams([7, 8])).rnn
-    solo = model.initial_state(1, rng=streams([8])).rnn
+    pair = model.initial_state(2, rng=streams([7, 8]))
+    solo = model.initial_state(1, rng=streams([8]))
     for a, s in zip(pair.h + pair.c, solo.h + solo.c):
         assert np.array_equal(a.data[1:], s.data)
     with pytest.raises(ContractError):

@@ -9,6 +9,7 @@ manifest so every chunk can be re-read from its source.
 from __future__ import annotations
 
 import io
+import math
 import wave
 from dataclasses import dataclass, field
 
@@ -90,10 +91,12 @@ def read_wav(path):
             comptype = w.getcomptype()
             rate = w.getframerate()
             frames = w.readframes(w.getnframes())
-    except wave.Error as exc:
-        raise AudioFormatError(f"{path}: {exc}") from exc
+    except (wave.Error, RuntimeError) as exc:  # RuntimeError: a chunk seek past its end
+        raise AudioFormatError(f"{path}: {str(exc) or 'malformed RIFF chunk'}") from exc
     except EOFError as exc:
         raise AudioFormatError(f"{path}: truncated WAV header") from exc
+    except ValueError as exc:  # open() refuses a NUL byte in the path
+        raise AudioFormatError(f"{path!r}: {exc}") from exc
     if comptype != "NONE":
         raise UnsupportedFormatError(f"{path}: compression type {comptype!r}, expected PCM")
     if channels != 1:
@@ -102,6 +105,8 @@ def read_wav(path):
         raise UnsupportedFormatError(f"{path}: sample width {8 * width} bits, expected 16")
     if rate == 0:
         raise UnsupportedFormatError(f"{path}: sample rate 0, expected a positive rate")
+    if len(frames) % 2:
+        raise AudioFormatError(f"{path}: data chunk of {len(frames)} bytes ends inside a sample")
     pcm = np.frombuffer(frames, dtype="<i2")
     return AudioBuffer(pcm.astype(np.float32) / 32768.0, rate)
 
@@ -131,6 +136,8 @@ def chunk_corpus(files, chunk_seconds, sample_rate, corpus_id="corpus"):
     a mismatch is an error). Returns (chunks, manifest); all manifest entries
     start in the train split until split_dataset reassigns them.
     """
+    if not 0 < chunk_seconds < math.inf:  # NaN fails this too
+        raise ContractError(f"chunk_seconds must be positive and finite, got {chunk_seconds}")
     chunk_len = int(round(chunk_seconds * sample_rate))
     if chunk_len <= 0:
         raise ContractError(f"chunk of {chunk_seconds}s at {sample_rate}Hz is empty")
@@ -167,10 +174,13 @@ def split_dataset(manifest, ratios, seed):
     train. Returns a new manifest; the input is untouched.
     """
     train_r, test_r, val_r = ratios
-    if min(train_r, test_r, val_r) <= 0:
+    # comparisons that NaN fails, so a NaN is refused with the rest
+    if not all(r > 0 for r in ratios):
         raise ContractError(f"ratios must be positive, got {ratios}")
-    if abs(train_r + test_r + val_r - 1.0) > 1e-9:
+    if not abs(train_r + test_r + val_r - 1.0) <= 1e-9:
         raise ContractError(f"ratios must sum to 1, got {ratios}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     n = len(manifest.entries)
     if n < 3:
         raise InsufficientDataError(f"{n} chunks cannot populate all splits")
@@ -255,6 +265,8 @@ def load_manifest(path):
             [],
             _manifest_int(path, 1, "seed", fields["seed"]),
         )
+        if manifest.chunk_length_samples <= 0:
+            raise ContractError(f"{path}:1: chunk_len {manifest.chunk_length_samples} is not positive")
         for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")
             if not line:

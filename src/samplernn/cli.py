@@ -89,7 +89,7 @@ def cmd_train(args):
     dataset = ChunkDataset(manifest, run.model.q_levels)
     train_codes = dataset.codes("train")
     val_codes = dataset.codes("validation")
-    del dataset  # its cache holds every source file's samples
+    del dataset  # only the codes live through training
 
     # a resume loads the checkpoint's parameters into this model, and
     # refuses one whose config differs from the checkpoint's

@@ -11,6 +11,7 @@ checkpoint's config back, requiring every key. A resume refuses a changed
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .audio import open_text
@@ -37,6 +38,18 @@ class TrainConfig:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.tbptt_len < 1:
             raise ContractError(f"tbptt_len must be >= 1, got {self.tbptt_len}")
+        # comparisons that NaN fails, so a NaN is refused with the rest
+        for name in ("lr", "eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ContractError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ContractError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 <= self.clip_norm < math.inf:
+            raise ContractError(f"clip_norm must be finite and >= 0, got {self.clip_norm}")
+        for name in ("max_iterations", "checkpoint_every", "validate_every", "seed"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 _SECTIONS = {

@@ -148,6 +148,13 @@ def diagnose_clip(
     an equally strong tone-period correlation explaining it; pure tones
     repeat at every multiple of their period and are not riff traps.
     """
+    # comparisons that NaN fails, so a NaN is refused with the rest
+    if not 0 <= min_lag < max_lag:
+        raise ContractError(f"lags need 0 <= min_lag < max_lag, got min_lag={min_lag} max_lag={max_lag}")
+    if np.isnan([flatness_threshold, trap_threshold]).any():
+        raise ContractError(
+            f"flatness_threshold={flatness_threshold} trap_threshold={trap_threshold}: not a number"
+        )
     flatness = spectral_flatness(buffer)
     max_ok = min(max_lag, (len(buffer) // 2 - 1) / buffer.sample_rate)
     if max_ok > min_lag:

@@ -11,6 +11,7 @@ per step draws every sequence's code. Priming is quantized silence.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from . import autodiff as ad
 from .audio import AudioBuffer, write_wav
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, model_from_checkpoint
-from .diagnostics import diagnose_clip
+from .diagnostics import FLATNESS_WINDOW, diagnose_clip
 from .errors import (
     CheckpointError,
     ContractError,
@@ -48,12 +49,17 @@ class GenConfig:
     def __post_init__(self):
         if self.n_seq < 1:
             raise ContractError(f"n_seq must be >= 1, got {self.n_seq}")
-        if self.clip_seconds <= 0:
-            raise ContractError(f"clip_seconds must be positive, got {self.clip_seconds}")
-        if self.temperature <= 0:
-            raise ContractError(f"temperature must be positive, got {self.temperature}")
+        # comparisons that NaN fails, so a NaN is refused with the rest
+        if not 0 < self.clip_seconds < math.inf:
+            raise ContractError(f"clip_seconds must be positive and finite, got {self.clip_seconds}")
+        if not 0 < self.temperature < math.inf:
+            raise ContractError(f"temperature must be positive and finite, got {self.temperature}")
         if self.mode not in (MODE_SOFTMAX, MODE_ARGMAX):
             raise ContractError(f"mode must be softmax_sample or argmax, got {self.mode!r}")
+
+    def clip_samples(self, sample_rate):
+        """Samples in one clip at sample_rate."""
+        return int(round(self.clip_seconds * sample_rate))
 
 
 def sequence_stream(seed, index):
@@ -91,7 +97,7 @@ def generate_batch(model, cfg):
     """
     mcfg = model.config
     fs = mcfg.frame_size
-    n_samples = int(round(cfg.clip_seconds * mcfg.sample_rate))
+    n_samples = cfg.clip_samples(mcfg.sample_rate)
     if n_samples < 1:
         raise ContractError("clip too short to generate")
 
@@ -138,6 +144,13 @@ def write_checkpoint_clips(path, cfg, out_dir):
     out_dir/diagnostics.txt. Returns the reports in sequence order.
     """
     ck = load_checkpoint(path)
+    n_samples = cfg.clip_samples(ck.model_config.sample_rate)
+    if n_samples < FLATNESS_WINDOW:  # refused before anything is sampled or written
+        raise ContractError(
+            f"{path}: a clip of {cfg.clip_seconds}s is {n_samples} samples at "
+            f"{ck.model_config.sample_rate} Hz, shorter than the {FLATNESS_WINDOW}-sample "
+            "window that screens it; ask for more seconds"
+        )
     model, iteration = model_from_checkpoint(ck).folded(), ck.iteration
     del ck
     clips = generate_batch(model, cfg)

@@ -14,7 +14,7 @@ what makes segment-by-segment processing equal to one whole-sequence pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,6 +62,10 @@ class ModelConfig:
             raise ContractError(f"h0_mode must be learned or randomized, got {self.h0_mode!r}")
         if self.sample_rate <= 0:
             raise ContractError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not np.isfinite(self.forget_bias_init):
+            raise ContractError(f"forget_bias_init must be finite, got {self.forget_bias_init}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 def quantize(x, q_levels=256):
@@ -340,9 +344,10 @@ class SampleRnnModel:
     def forward_logits(self, codes, state):
         """Teacher-forced logits for every predictable position of a segment.
 
-        With a cold state the first frame_size positions lack history and are
-        skipped; with a warm state (prev_codes/prev_cond carried from the
-        preceding segment) every position is predicted.
+        A warm state's carried frame is a one-frame prefix on the codes and
+        on the conditioning, so only a cold state skips its first frame_size
+        positions. The new state's prev_codes are int64, as carry_shapes
+        types them, whatever int type the codes come in.
         """
         cfg = self.config
         fs = cfg.frame_size
@@ -359,30 +364,22 @@ class SampleRnnModel:
 
         cond, cold = self.frame_tier_forward(codes, state)
         t_steps = length // fs
-
+        usable = ad.narrow(cond, 1, 0, t_steps - 1)  # frame t conditions frame t+1
+        ext = codes
         if state.warm:
-            start = 0
-            prev = Tensor(state.prev_cond)
-            usable = ad.concat(
-                [ad.reshape(prev, (b, 1, fs, cfg.hidden_dim)), ad.narrow(cond, 1, 0, t_steps - 1)],
-                axis=1,
-            )
+            prev = ad.reshape(Tensor(state.prev_cond), (b, 1, fs, cfg.hidden_dim))
+            usable = ad.concat([prev, usable], axis=1)
             ext = np.concatenate([state.prev_codes, codes], axis=1)
-        else:
-            start = fs
-            usable = ad.narrow(cond, 1, 0, t_steps - 1)
-            ext = codes
 
-        count = length - start
+        count = ext.shape[1] - fs
         cond_flat = ad.reshape(usable, (b * count, cfg.hidden_dim))
-        # window for position t is ext[:, t+off-fs : t+off); sliding windows
-        # starting at 0 line up with the first predicted position either way
+        # position t of ext is predicted from the window ext[:, t-fs : t)
         wins = np.lib.stride_tricks.sliding_window_view(ext, fs, axis=1)[:, :count]
         logits = self.sample_tier_forward(wins.reshape(b * count, fs), cond_flat)
-        targets = codes[:, start:].reshape(-1)
+        targets = ext[:, fs:].reshape(-1)
 
         new_state = replace(
-            cold, prev_codes=codes[:, -fs:].copy(), prev_cond=cond.data[:, t_steps - 1].copy()
+            cold, prev_codes=codes[:, -fs:].astype(np.int64), prev_cond=cond.data[:, -1].copy()
         )
         return ForwardResult(logits, targets, b, count, new_state)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,64 +104,64 @@ def tbptt_step(model, optimizer, codes, state, clip_norm=1.0, iteration=0):
 def validate(model, chunks, segment_len=2048, max_rows=32):
     """Teacher-forced NLL in bits/sample over validation chunks.
 
-    No parameter updates; state resets at every chunk. Long chunks are
-    walked segment-by-segment with carried state, so the result equals a
-    whole-chunk pass. Evaluates model.folded(), so weight norm runs once per
-    pass, not once per segment.
+    No parameter updates; state resets at every chunk. Chunks are cut to
+    whole frames and walked segment-by-segment with carried state, so the
+    result equals a whole-chunk pass. Evaluates model.folded(), so weight
+    norm runs once per pass, not once per segment.
     """
     codes = np.asarray(chunks)
     if codes.ndim != 2 or codes.shape[0] == 0:
         raise ContractError("validation split is empty")
-    model = model.folded()
     fs = model.config.frame_size
+    codes = codes[:, : codes.shape[1] - codes.shape[1] % fs]
+    if codes.shape[1] < 2 * fs:
+        raise ContractError("validation chunks shorter than two frames")
+    model = model.folded()
     seg = max(fs * 2, segment_len - segment_len % fs)
     # fixed stream keeps randomized-h0 validation a pure function
     rng = np.random.Generator(np.random.PCG64(0))
     total_nats = 0.0
-    total_count = 0
     for row0 in range(0, codes.shape[0], max_rows):
         block = codes[row0 : row0 + max_rows]
         state = model.initial_state(block.shape[0], rng=rng)
-        pos = 0
-        while pos < block.shape[1]:
+        for pos in range(0, block.shape[1], seg):
             piece = block[:, pos : pos + seg]
-            if piece.shape[1] < (fs * 2 if pos == 0 else fs):
-                break  # trailing sliver shorter than one frame
-            if piece.shape[1] % fs:
-                piece = piece[:, : piece.shape[1] - piece.shape[1] % fs]
+            n_pred = block.shape[0] * (piece.shape[1] - (0 if state.warm else fs))
             bits, state = model_forward_nll(model, piece, state)
-            n_pred = block.shape[0] * (piece.shape[1] - (fs if pos == 0 else 0))
             total_nats += bits * LN2 * n_pred
-            total_count += n_pred
-            pos += piece.shape[1]
-    if total_count == 0:
-        raise ContractError("validation chunks shorter than two frames")
-    return total_nats / total_count / LN2
+    return total_nats / (codes.shape[0] * (codes.shape[1] - fs)) / LN2
 
 
 @dataclass
 class ChunkDataset:
-    """Quantized chunk codes per split, loaded lazily from manifest sources."""
+    """Quantized chunk codes per split, read from the manifest's sources."""
 
     manifest: object
     q_levels: int
-    _cache: dict = field(default_factory=dict)
-
-    def _file_samples(self, path):
-        if path not in self._cache:
-            self._cache[path] = read_wav(path).samples
-        return self._cache[path]
 
     def codes(self, split):
         """[n_chunks, chunk_len] int64 codes for one split, in chunk-id order,
-        quantized straight into one preallocated array."""
+        quantized straight into one preallocated array. A source file is
+        read when its first row comes up and dropped when the next file
+        starts, which for a manifest chunk_corpus wrote reads each file
+        once; a row whose span leaves its source raises ContractError.
+        """
         ids = set(self.manifest.split_ids(split))
         entries = [e for e in self.manifest.entries if e.chunk_id in ids]
         clen = self.manifest.chunk_length_samples
         out = np.empty((len(entries), clen), dtype=np.int64)
+        path = samples = None
         for row, e in zip(out, entries):
-            samples = self._file_samples(e.source_file)
-            row[:] = quantize(samples[e.offset_samples : e.offset_samples + clen], self.q_levels)
+            if e.source_file != path:
+                path, samples = e.source_file, None  # drop the last file first
+                samples = read_wav(path).samples
+            start, end = e.offset_samples, e.offset_samples + clen
+            if start < 0 or end > samples.size:
+                raise ContractError(
+                    f"{path}: chunk {e.chunk_id} spans samples [{start}, {end}), "
+                    f"outside the file's {samples.size}"
+                )
+            row[:] = quantize(samples[start:end], self.q_levels)
         return out
 
 
@@ -219,7 +219,8 @@ def train_loop(
     train_codes/val_codes: [n_chunks, chunk_len] int arrays. A metrics line
     is appended every validate_every iterations; a checkpoint is written
     every checkpoint_every iterations and once more at the end. Divergence
-    aborts with the last-good checkpoint path attached.
+    aborts with the last-good checkpoint path attached. A resume from a
+    checkpoint with no carried state is refused inside a chunk.
     """
     fs = model.config.frame_size
     if cfg.tbptt_len % fs:
@@ -253,6 +254,11 @@ def train_loop(
             )
         state = ck.restore(model, optimizer, rng)
         start_iter = ck.iteration
+        if state is None and start_iter % segs_per_chunk:
+            raise ContractError(
+                f"{resume_from}: no carried state for iteration {start_iter}, "
+                "inside a chunk; a resume without it would not reproduce the run"
+            )
         val_history = list(ck.val_history)
         del ck  # model, Adam and carry now own its records; each keeps one owner
 
@@ -289,7 +295,7 @@ def train_loop(
             rows = group_chunk_ids(cfg.seed, g, cfg.batch_size, train_codes.shape[0])
             group_codes = train_codes[rows]
             group = g
-            if s == 0 or state is None:
+            if s == 0:
                 state = model.initial_state(cfg.batch_size, rng=rng)
         seg = group_codes[:, s * cfg.tbptt_len : (s + 1) * cfg.tbptt_len]
         try:

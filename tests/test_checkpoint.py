@@ -555,3 +555,59 @@ def test_read_error_is_checkpoint_error(tmp_path, monkeypatch, caplog):
         checkpoint_generation_schedule(str(tmp_path), GenConfig(n_seq=1, clip_seconds=0.01),
                                        str(tmp_path / "o"))
     assert str(err.value) in caplog.text
+
+
+def resume_run(tmp_path, train, stop, total, strip_carry=False):
+    """Metrics and parameters of a run interrupted at `stop` and resumed from
+    its checkpoint file to `total`; with strip_carry the carry.* records are
+    removed from that file first."""
+    def config(n):
+        return TrainConfig(batch_size=2, tbptt_len=16, lr=2e-3, max_iterations=n,
+                           checkpoint_every=0, validate_every=1, seed=5)
+
+    first = tmp_path / f"first{stop}"
+    train_loop(init_params(toy_config(seed=33)), config(stop), train, train[:1], str(first))
+    path = checkpoint_path(first, stop)
+    if strip_carry:
+        ck = load_checkpoint(path)
+        ck.extra_arrays = {k: a for k, a in ck.extra_arrays.items() if not k.startswith("carry.")}
+        save_checkpoint(path, ck)
+    model = model_from_checkpoint(load_checkpoint(path))
+    res = train_loop(model, config(total), train, train[:1], str(tmp_path / f"rest{stop}"),
+                     resume_from=path)
+    return [(m.iteration, m.train_bits, m.val_bits) for m in res.metrics], model
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+def test_carry_codes_are_int64_whatever_the_training_codes(tmp_path, dtype):
+    train = quantize(make_tone(60.0, 4 * 64 / 16000.0), 16).reshape(4, 64).astype(dtype)
+    model = init_params(toy_config(seed=33))
+    cfg = TrainConfig(batch_size=2, tbptt_len=16, lr=2e-3, max_iterations=6,
+                      checkpoint_every=3, validate_every=1, seed=5)
+    res = train_loop(model, cfg, train, train[:1], str(tmp_path / "a"))
+    straight = [(m.iteration, m.train_bits, m.val_bits) for m in res.metrics]
+    ck = load_checkpoint(checkpoint_path(tmp_path / "a", 3))
+    assert ck.extra_arrays["carry.prev_codes"].dtype == np.int64
+    resumed, model_c = resume_run(tmp_path, train, 3, 6)  # mid-chunk: 4 segments/chunk
+    assert resumed == straight[3:]
+    for name, t in model.params.items():
+        assert np.array_equal(t.data, model_c.params[name].data), name
+
+
+def test_resume_without_carry_refused_mid_chunk_exact_at_chunk_start(tmp_path):
+    train = quantize(make_tone(60.0, 4 * 64 / 16000.0), 16).reshape(4, 64)
+    with pytest.raises(ContractError) as err:
+        resume_run(tmp_path, train, 3, 8, strip_carry=True)
+    path = checkpoint_path(tmp_path / "first3", 3)
+    assert str(err.value).startswith(f"{path}: ") and "iteration 3" in str(err.value)
+    assert not (tmp_path / "rest3").exists() or not os.listdir(tmp_path / "rest3")
+
+    model = init_params(toy_config(seed=33))
+    cfg = TrainConfig(batch_size=2, tbptt_len=16, lr=2e-3, max_iterations=8,
+                      checkpoint_every=0, validate_every=1, seed=5)
+    res = train_loop(model, cfg, train, train[:1], str(tmp_path / "straight"))
+    straight = [(m.iteration, m.train_bits, m.val_bits) for m in res.metrics]
+    resumed, model_c = resume_run(tmp_path, train, 4, 8, strip_carry=True)  # a chunk starts at 4
+    assert resumed == straight[4:]
+    for name, t in model.params.items():
+        assert np.array_equal(t.data, model_c.params[name].data), name

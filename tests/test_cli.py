@@ -242,6 +242,8 @@ HEADER = "#corpus_id=c seed=0 chunk_len=16000\n"
     (HEADER + "0\ta.wav\t0\n", 2, "3 tab-separated fields, expected 4"),
     (HEADER + "0\ta.wav\t0\tholdout\n", 2, "bad split tag 'holdout'"),
     (HEADER + "0\ta\udcff.wav\t0\ttrain\n", 2, "not UTF-8 text (byte 0xff)"),
+    ("#corpus_id=c seed=0 chunk_len=-4\n", 1, "chunk_len -4 is not positive"),
+    ("#corpus_id=c seed=0 chunk_len=0\n", 1, "chunk_len 0 is not positive"),
 ])
 def test_malformed_manifest_exit_2(tmp_path, capsys, text, line, what):
     manifest = tmp_path / "m.tsv"
@@ -314,6 +316,7 @@ BAD_WAVS = {
     "eight_bit": wav_bytes(bits=8),
     "directory": None,
     "short_clip": wav_bytes(frames=3),  # diagnose only: chunk cuts no chunk from it
+    "odd_data_length": wav_bytes()[:1001],
 }
 
 
@@ -380,3 +383,76 @@ def test_train_releases_the_dataset_before_training(corpus, tmp_path, monkeypatc
     rc, _, _ = train_toy(corpus, tmp_path)
     assert rc == 0
     assert alive == [0]
+
+
+def toy_checkpoint(tmp_path):
+    """A freshly initialized TOY-sized model saved as ck/ckpt_00000004.srnn."""
+    from samplernn.checkpoint import Checkpoint, checkpoint_path, save_checkpoint
+    from samplernn.model import init_params
+    from samplernn.training import Adam, TrainConfig
+
+    from conftest import toy_config
+
+    model = init_params(toy_config(n_layers=1, frame_size=2))
+    path = checkpoint_path(tmp_path / "ck", 4)
+    os.makedirs(tmp_path / "ck")
+    save_checkpoint(path, Checkpoint.capture(
+        model, TrainConfig(batch_size=2, tbptt_len=8), 4, Adam(model.params),
+        np.random.Generator(np.random.PCG64(0)), [], None))
+    return path
+
+
+@pytest.mark.parametrize("argv, what", [
+    ("generate --ckpt {ckpt} --out-dir {out} --seconds nan", "clip_seconds must be positive and finite, got nan"),
+    ("generate --ckpt {ckpt} --out-dir {out} --seconds inf", "clip_seconds must be positive and finite, got inf"),
+    ("generate --ckpt {ckpt} --out-dir {out} --temperature nan", "temperature must be positive and finite, got nan"),
+    ("train --manifest {manifest} --ckpt-dir {out} --lr nan", "lr must be positive and finite, got nan"),
+    ("train --manifest {manifest} --ckpt-dir {out} --validate-every -1", "validate_every must be >= 0, got -1"),
+    ("chunk --corpus-dir {corpus} --manifest {out}/m.tsv --chunk-seconds nan",
+     "chunk_seconds must be positive and finite, got nan"),
+    ("chunk --corpus-dir {corpus} --manifest {out}/m.tsv --ratios nan,0.5,0.5",
+     "ratios must be positive, got (nan, 0.5, 0.5)"),
+    ("diagnose {corpus}/a.wav --max-lag nan", "min_lag=0.25 max_lag=nan"),
+    ("diagnose {corpus}/a.wav --min-lag 1.5 --max-lag 1", "min_lag=1.5 max_lag=1.0"),
+])
+def test_numeric_input_refused_by_its_owner_exit_2(corpus, tmp_path, capsys, argv, what):
+    manifest = tmp_path / "m.tsv"
+    main(["chunk", "--corpus-dir", str(corpus), "--manifest", str(manifest), "--chunk-seconds", "1"])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = argv.format(ckpt=toy_checkpoint(tmp_path), out=out, manifest=manifest, corpus=corpus).split()
+    if argv[0] == "train":
+        argv += [*TOY, "--iters", "2"]
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and what in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("offset", [-1, 12 * 16000 - 15999])
+def test_manifest_row_outside_its_source_exit_2(corpus, tmp_path, capsys, offset):
+    wav = corpus / "a.wav"
+    rows = [f"{k}\t{wav}\t{k * 16000}\t{tag}\n" for k, tag in enumerate(("validation", "test", "train"))]
+    rows[2] = f"2\t{wav}\t{offset}\ttrain\n"
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(HEADER + "".join(rows))
+    rc = main(["train", "--manifest", str(manifest), "--ckpt-dir", str(tmp_path / "ck"),
+               *TOY, "--iters", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {wav}: chunk 2 spans samples [{offset}, {offset + 16000}), ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize("source", ["--ckpt", "--ckpt-dir"])
+def test_generate_refuses_clips_too_short_to_screen(tmp_path, capsys, source):
+    path = toy_checkpoint(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["generate", source, path if source == "--ckpt" else str(tmp_path / "ck"),
+               "--out-dir", str(out), "--n-seq", "1", "--seconds", "0.1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "1600 samples" in err and "2048-sample" in err
+    assert not out.exists()

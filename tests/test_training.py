@@ -444,3 +444,39 @@ def test_chunk_dataset_loads_quantized_slices(tmp_path):
         if codes.size:
             assert codes.shape[1] == 16000
             assert codes.min() >= 0 and codes.max() < 256
+
+
+def test_validate_scores_whole_frames_only(rng):
+    model = init_params(toy_config(seed=4))  # frame_size 4
+    chunks = rng.integers(0, 16, (3, 67)).astype(np.int32)
+    for segment_len in (16, 2048):
+        assert validate(model, chunks, segment_len=segment_len) == validate(
+            model, chunks[:, :64], segment_len=segment_len)
+    for length in (0, 5, 7):  # fewer than two whole frames
+        with pytest.raises(ContractError, match="shorter than two frames"):
+            validate(model, chunks[:, :length])
+
+
+def test_chunk_dataset_reads_each_source_once_per_call(tmp_path, monkeypatch):
+    from samplernn import audio, training
+
+    rate = 16000
+    paths = [tmp_path / f"{k}.wav" for k in range(3)]
+    for k, path in enumerate(paths):
+        audio.write_wav(audio.AudioBuffer(make_tone(100.0 * (k + 1), 2.0, rate), rate), path)
+    _, manifest = audio.chunk_corpus(paths, 0.25, rate)
+    manifest = audio.split_dataset(manifest, (0.5, 0.25, 0.25), seed=1)
+    ds = ChunkDataset(manifest, 256)
+    reads = []
+    real = training.read_wav
+    monkeypatch.setattr(training, "read_wav", lambda p: reads.append(p) or real(p))
+    clen = manifest.chunk_length_samples
+    for split in ("train", "test", "validation"):
+        del reads[:]
+        codes = ds.codes(split)
+        entries = [e for e in manifest.entries if e.split_tag == split]
+        assert sorted(reads) == sorted({e.source_file for e in entries})
+        assert codes.shape == (len(entries), clen)
+        for row, e in zip(codes, entries):
+            samples = real(e.source_file).samples
+            assert np.array_equal(row, quantize(samples[e.offset_samples : e.offset_samples + clen]))

@@ -5,7 +5,9 @@ corpus chunking with a persisted split manifest.
 Run from the repository root:  python3 demos/01_audio_and_quantization.py
 """
 
+import atexit
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -22,6 +24,7 @@ from samplernn import (
 )
 
 workdir = tempfile.mkdtemp(prefix="samplernn_demo_")
+atexit.register(shutil.rmtree, workdir, ignore_errors=True)
 sr = 16000
 
 print("=== 16-bit WAV round trip ===")
@@ -59,4 +62,3 @@ with open(manifest_path) as fh:
 print("manifest head:")
 for line in head:
     print("  " + line)
-print(f"\nartifacts in {workdir}")

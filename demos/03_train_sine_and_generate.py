@@ -7,7 +7,9 @@ Takes about a minute on one CPU core.
 Run:  python3 demos/03_train_sine_and_generate.py
 """
 
+import atexit
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -27,6 +29,7 @@ from samplernn import (
 )
 
 workdir = tempfile.mkdtemp(prefix="samplernn_demo_")
+atexit.register(shutil.rmtree, workdir, ignore_errors=True)
 sr = 16000
 
 print("=== corpus: 60 seconds of a 440 Hz sine ===")
@@ -63,4 +66,3 @@ for k, clip in enumerate(clips):
           f"(bin {peak}, 440 Hz sits at bin {440 * 8192 / sr:.2f})")
     print("   ", diagnose_clip(clip, os.path.basename(out)).line())
 
-print(f"\nartifacts in {workdir}")

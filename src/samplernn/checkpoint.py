@@ -17,7 +17,8 @@ file-sized buffer and allocates nothing the file's size cannot back. The
 records are then checked against the header config's tables in `model`:
 `param_shapes` for the param and adam records, `carry_shapes` for the
 carry. So both load paths adopt the records as they are, with no copy:
-`model_from_checkpoint` for generation and `Checkpoint.restore` for resume.
+`model_from_checkpoint` builds an inference model, with no gradient
+buffers, and `training.resume` builds the training run.
 
 Besides parameters and Adam moments, a checkpoint stores the warm training
 carry state, so resuming mid-chunk reproduces the uninterrupted loss
@@ -40,7 +41,7 @@ import numpy as np
 from . import config
 from .autodiff import ParamStore
 from .errors import CheckpointError, ConfigError, ContractError
-from .model import ModelConfig, ModelState, SampleRnnModel, carry_shapes, param_shapes
+from .model import ModelConfig, SampleRnnModel, carry_shapes, param_shapes
 
 MAGIC = b"SRNNCKPT"
 VERSION = 3
@@ -85,36 +86,23 @@ class Checkpoint:
             list(val_history),
         )
 
-    def restore(self, model, optimizer, rng):
-        """Make the model's parameters and Adam's moments the param and adam
-        records themselves, set Adam's step and the PRNG state, and return
-        the carried ModelState on the carry records, or None. Nothing is
-        copied: the load has checked every record against the model's
-        tables, and the live objects adopt them."""
-        if self.params["embed"].dtype != model.dtype:
-            raise ContractError(f"{self.params['embed'].dtype} records for a {model.dtype} model")
-        ex = self.extra_arrays
-        for name, t in model.params.items():
-            t.data = self.params[name]
-            optimizer.m[name] = ex[f"adam.m.{name}"]
-            optimizer.v[name] = ex[f"adam.v.{name}"]
-        optimizer.step_count = self.adam_step
-        rng.bit_generator.state = self.rng_state
-        names = carry_shapes(self.model_config, self.train_config.batch_size, model.dtype)
-        if not all(f"carry.{name}" in ex for name in names):
-            return None
-        return ModelState.from_arrays(self.model_config, {name: ex[f"carry.{name}"] for name in names})
+
+def param_store(ck, trainable):
+    """A ParamStore whose entries are the param records themselves (owned,
+    aligned, writable arrays from the load), in param_shapes order: the
+    store and ck.params share those arrays. Nothing is drawn or copied: the
+    load has checked the records against that table. Only a trainable
+    store gives its entries gradient buffers."""
+    params = ParamStore()
+    for name in param_shapes(ck.model_config):
+        params.add(name, ck.params[name], trainable=trainable)
+    return params
 
 
 def model_from_checkpoint(ck):
-    """A model whose parameters are the param records themselves (owned,
-    aligned, writable arrays from the load), in param_shapes order: the
-    model and ck.params share those arrays. Nothing is drawn or copied:
-    the load has checked the records against that table."""
-    params = ParamStore()
-    for name in param_shapes(ck.model_config):
-        params.add(name, ck.params[name])
-    return SampleRnnModel(ck.model_config, params)
+    """An inference model on the param records: nothing in it is trainable
+    or holds a gradient."""
+    return SampleRnnModel(ck.model_config, param_store(ck, trainable=False))
 
 
 def _check(*parts):

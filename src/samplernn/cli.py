@@ -14,12 +14,13 @@ import os
 import sys
 
 from . import audio
+from .autodiff import ParamStore
 from .config import build_run_config
 from .diagnostics import diagnose_clip
 from .errors import ContractError, DivergenceError, EmptyCorpusError, SampleRnnError
 from .generate import GenConfig, checkpoint_generation_schedule, write_checkpoint_clips
 from .gradcheck import standard_checks
-from .model import init_params
+from .model import SampleRnnModel, init_params
 from .training import ChunkDataset, train_loop
 
 EXIT_OK = 0
@@ -86,15 +87,14 @@ def cmd_train(args):
     run = build_run_config(args.preset, args.config, overrides)
 
     manifest = audio.load_manifest(args.manifest)
-    dataset = ChunkDataset(manifest, run.model.q_levels)
+    dataset = ChunkDataset(manifest, run.model.q_levels, run.model.sample_rate)
     train_codes = dataset.codes("train")
     val_codes = dataset.codes("validation")
     del dataset  # only the codes live through training
 
-    # a resume loads the checkpoint's parameters into this model, and
-    # refuses one whose config differs from the checkpoint's
-    model = init_params(run.model)
-    os.makedirs(args.ckpt_dir, exist_ok=True)
+    # a fresh run draws its parameters; a resume takes its whole run from the
+    # checkpoint, refusing a changed config, so its model only carries this one
+    model = init_params(run.model) if args.resume is None else SampleRnnModel(run.model, ParamStore())
     metrics = args.metrics or os.path.join(args.ckpt_dir, "metrics.log")
     try:
         result = train_loop(

@@ -47,7 +47,9 @@ class TrainConfig:
                 raise ContractError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not 0 <= self.clip_norm < math.inf:
             raise ContractError(f"clip_norm must be finite and >= 0, got {self.clip_norm}")
-        for name in ("max_iterations", "checkpoint_every", "validate_every", "seed"):
+        if self.max_iterations < 1:  # a run that takes no step leaves no checkpoint
+            raise ContractError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        for name in ("checkpoint_every", "validate_every", "seed"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
 

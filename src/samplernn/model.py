@@ -195,7 +195,10 @@ class SampleRnnModel:
     def __init__(self, config, params):
         self.config = config
         self.params = params
-        self.dtype = params["embed"].dtype
+
+    @property
+    def dtype(self):
+        return self.params["embed"].dtype
 
     # -- parameter plumbing -------------------------------------------------
 

@@ -20,8 +20,8 @@ from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from .audio import read_wav
 from .config import RunConfig, TrainConfig, resume_changes  # noqa: F401 (re-export)
-from .errors import ContractError, DivergenceError
-from .model import model_forward_nll, quantize
+from .errors import ContractError, DivergenceError, RateMismatchError
+from .model import ModelConfig, ModelState, carry_shapes, model_forward_nll, quantize
 
 LN2 = float(np.log(2.0))
 
@@ -32,18 +32,20 @@ class Adam:
     Each parameter is walked in pieces of ad.BLOCK elements of its flat view,
     through two scratch buffers allocated once, so a step allocates nothing
     and each element sees the same operations in the same order as the plain
-    formula.
+    formula. `moments` is (step count, m, v) to continue from, m and v
+    adopted as they are; by default step 0 with zeroed moments.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, moments=None):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.step_count = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        if moments is None:
+            m = {name: np.zeros_like(t.data) for name, t in params.items()}
+            moments = 0, m, {name: np.zeros_like(a) for name, a in m.items()}
+        self.step_count, self.m, self.v = moments
         self._scratch = np.empty((2, ad.BLOCK), dtype=np.float64)  # viewed per dtype
 
     def step(self):
@@ -134,34 +136,41 @@ def validate(model, chunks, segment_len=2048, max_rows=32):
 
 @dataclass
 class ChunkDataset:
-    """Quantized chunk codes per split, read from the manifest's sources."""
+    """Quantized chunk codes per split, read from the manifest's sources,
+    each of which must be at the model's sample rate."""
 
     manifest: object
     q_levels: int
+    sample_rate: int = ModelConfig.sample_rate
 
     def codes(self, split):
         """[n_chunks, chunk_len] int64 codes for one split, in chunk-id order,
         quantized straight into one preallocated array. A source file is
         read when its first row comes up and dropped when the next file
         starts, which for a manifest chunk_corpus wrote reads each file
-        once; a row whose span leaves its source raises ContractError.
+        once; a source at another rate raises RateMismatchError, and a row
+        whose span leaves its source raises ContractError.
         """
         ids = set(self.manifest.split_ids(split))
         entries = [e for e in self.manifest.entries if e.chunk_id in ids]
         clen = self.manifest.chunk_length_samples
         out = np.empty((len(entries), clen), dtype=np.int64)
-        path = samples = None
+        path = wav = None
         for row, e in zip(out, entries):
             if e.source_file != path:
-                path, samples = e.source_file, None  # drop the last file first
-                samples = read_wav(path).samples
+                path, wav = e.source_file, None  # drop the last file first
+                wav = read_wav(path)
+                if wav.sample_rate != self.sample_rate:
+                    raise RateMismatchError(
+                        f"{path}: sample rate {wav.sample_rate}, but the model's is {self.sample_rate}"
+                    )
             start, end = e.offset_samples, e.offset_samples + clen
-            if start < 0 or end > samples.size:
+            if start < 0 or end > wav.samples.size:
                 raise ContractError(
                     f"{path}: chunk {e.chunk_id} spans samples [{start}, {end}), "
-                    f"outside the file's {samples.size}"
+                    f"outside the file's {wav.samples.size}"
                 )
-            row[:] = quantize(samples[start:end], self.q_levels)
+            row[:] = quantize(wav.samples[start:end], self.q_levels)
         return out
 
 
@@ -203,6 +212,28 @@ class TrainResult:
     final_checkpoint: str
 
 
+def resume(path, model, cfg):
+    """Turn the checkpoint at path into the training run it holds, refusing
+    one whose config differs from (model.config, cfg). The param, adam and
+    carry records become model.params (trainable, in the file's float dtype),
+    Adam's moments and the carried state as loaded, and nothing is drawn.
+    Returns (optimizer, rng, carried ModelState or None, iteration, val history)."""
+    ck = ckpt_io.load_checkpoint(path)
+    changed = resume_changes(RunConfig(ck.model_config, ck.train_config), RunConfig(model.config, cfg))
+    if changed:
+        raise ContractError(f"{path}: cannot resume with a changed config: {', '.join(changed)}")
+    model.params = ckpt_io.param_store(ck, trainable=True)
+    ex = ck.extra_arrays
+    m, v = ({name: ex[f"adam.{k}.{name}"] for name, _ in model.params.items()} for k in "mv")
+    optimizer = Adam(model.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, (ck.adam_step, m, v))
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = ck.rng_state
+    names = carry_shapes(ck.model_config, cfg.batch_size, model.dtype)
+    carry = {name: ex.get(f"carry.{name}") for name in names}  # the load passes it whole or not at all
+    state = None if carry["prev_codes"] is None else ModelState.from_arrays(ck.model_config, carry)
+    return optimizer, rng, state, ck.iteration, ck.val_history
+
+
 def train_loop(
     model,
     cfg,
@@ -219,8 +250,10 @@ def train_loop(
     train_codes/val_codes: [n_chunks, chunk_len] int arrays. A metrics line
     is appended every validate_every iterations; a checkpoint is written
     every checkpoint_every iterations and once more at the end. Divergence
-    aborts with the last-good checkpoint path attached. A resume from a
-    checkpoint with no carried state is refused inside a chunk.
+    aborts with the last-good checkpoint path attached. A resume takes its
+    run from `resume`, and model ends holding the checkpoint's parameters,
+    trained on; one with no carried state is refused inside a chunk.
+    checkpoint_dir is made only once set-up passes.
     """
     fs = model.config.frame_size
     if cfg.tbptt_len % fs:
@@ -236,31 +269,18 @@ def train_loop(
     samples_per_iter = cfg.batch_size * cfg.tbptt_len
     corpus_samples = train_codes.size
 
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    optimizer = Adam(model.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    start_iter = 0
-    val_history = []
-    state = None
-
-    if resume_from is not None:
-        ck = ckpt_io.load_checkpoint(resume_from)
-        changed = resume_changes(
-            RunConfig(ck.model_config, ck.train_config), RunConfig(model.config, cfg)
-        )
-        if changed:
-            raise ContractError(
-                f"{resume_from}: cannot resume with a changed config: {', '.join(changed)}"
-            )
-        state = ck.restore(model, optimizer, rng)
-        start_iter = ck.iteration
+    if resume_from is None:
+        optimizer = Adam(model.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        state, start_iter, val_history = None, 0, []
+    else:
+        optimizer, rng, state, start_iter, val_history = resume(resume_from, model, cfg)
         if state is None and start_iter % segs_per_chunk:
             raise ContractError(
                 f"{resume_from}: no carried state for iteration {start_iter}, "
                 "inside a chunk; a resume without it would not reproduce the run"
             )
-        val_history = list(ck.val_history)
-        del ck  # model, Adam and carry now own its records; each keeps one owner
+    os.makedirs(checkpoint_dir, exist_ok=True)
 
     metrics = []
     checkpoint_paths = []

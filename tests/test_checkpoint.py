@@ -12,6 +12,7 @@ import pytest
 
 import samplernn.checkpoint
 import samplernn.model
+from samplernn.autodiff import ParamStore
 from samplernn.checkpoint import (
     VERSION,
     Checkpoint,
@@ -22,8 +23,8 @@ from samplernn.checkpoint import (
 )
 from samplernn.cli import main
 from samplernn.errors import CheckpointError, ContractError
-from samplernn.model import carry_shapes, init_params, quantize
-from samplernn.training import Adam, TrainConfig, train_loop
+from samplernn.model import SampleRnnModel, carry_shapes, init_params, quantize
+from samplernn.training import Adam, TrainConfig, resume, train_loop
 from samplernn.generate import GenConfig, checkpoint_generation_schedule, generate_batch
 
 from conftest import make_tone, toy_config
@@ -118,17 +119,25 @@ def test_save_streams_and_load_holds_one_file_buffer(tmp_path):
     assert np.array_equal(back.extra_arrays["carry.big"], ck.extra_arrays["carry.big"])
 
 
-def test_restore_hands_on_owned_writeable_arrays(tmp_path):
+def test_resume_adopts_its_records(tmp_path, monkeypatch):
     _, ck = fresh_checkpoint()
     path = checkpoint_path(tmp_path, 40)
     save_checkpoint(path, ck)
-    back = load_checkpoint(path)
-    model = init_params(back.model_config)
-    opt = Adam(model.params)
-    rng = np.random.Generator(np.random.PCG64(0))
-    carry = back.restore(model, opt, rng)
+    loads = []
+    real_load = samplernn.checkpoint.load_checkpoint
+    monkeypatch.setattr(samplernn.checkpoint, "load_checkpoint",
+                        lambda p: loads.append(real_load(p)) or loads[-1])
 
-    assert opt.step_count == ck.adam_step
+    def no_draw(*args):
+        raise AssertionError("a resume drew parameters")
+
+    monkeypatch.setattr(samplernn.model, "_uniform_fan", no_draw)
+    model = SampleRnnModel(ck.model_config, ParamStore())  # carries the config only
+    opt, rng, carry, iteration, val_history = resume(path, model, ck.train_config)
+    (back,) = loads
+
+    assert (iteration, val_history) == (ck.iteration, ck.val_history)
+    assert opt.step_count == ck.adam_step and opt.params is model.params
     assert rng.bit_generator.state == ck.rng_state
     owned = {f"param.{name}": t.data for name, t in model.params.items()}
     owned.update({f"adam.m.{name}": a for name, a in opt.m.items()})
@@ -143,13 +152,31 @@ def test_restore_hands_on_owned_writeable_arrays(tmp_path):
         assert arr.dtype == stored.dtype and np.array_equal(arr, stored), name
         loaded = back.params[name[len("param."):]] if name.startswith("param.") else back.extra_arrays[name]
         assert arr is loaded, name  # adopted, not copied
+    for name, t in model.params.items():  # trainable, with a zeroed gradient
+        assert t.requires_grad and t.grad.shape == t.data.shape and not t.grad.any(), name
 
 
-def test_restore_refuses_records_of_another_dtype():
-    _, ck = fresh_checkpoint()
-    model = init_params(ck.model_config, dtype=np.float64)
-    with pytest.raises(ContractError, match="float32 records for a float64 model"):
-        ck.restore(model, Adam(model.params), np.random.Generator(np.random.PCG64(0)))
+def test_resume_takes_the_files_dtype(tmp_path):
+    """A float64 run resumed through a float32 carrier continues in float64
+    and equals its uninterrupted run."""
+    train = quantize(make_tone(60.0, 4 * 64 / 16000.0), 16).reshape(4, 64)
+
+    def config(n):
+        return TrainConfig(batch_size=2, tbptt_len=16, lr=2e-3, max_iterations=n,
+                           checkpoint_every=3, validate_every=1, seed=5)
+
+    straight = init_params(toy_config(seed=33), dtype=np.float64)
+    res = train_loop(straight, config(6), train, train[:1], str(tmp_path / "a"))
+    carrier = init_params(toy_config(seed=33))  # float32
+    resumed = train_loop(carrier, config(6), train, train[:1], str(tmp_path / "b"),
+                         resume_from=checkpoint_path(tmp_path / "a", 3))  # mid-chunk
+    assert [(m.iteration, m.train_bits, m.val_bits) for m in resumed.metrics] == [
+        (m.iteration, m.train_bits, m.val_bits) for m in res.metrics[3:]]
+    assert carrier.dtype == np.float64
+    for name, t in straight.params.items():
+        assert carrier.params[name].data.tobytes() == t.data.tobytes(), name
+    a, b = (open(checkpoint_path(tmp_path / d, 6), "rb").read() for d in "ab")
+    assert a == b
 
 
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
@@ -520,7 +547,7 @@ def test_model_adopts_its_records(tmp_path):
     path = checkpoint_path(tmp_path, 3)
     save_checkpoint(path, ck)
     back = load_checkpoint(path)
-    grad_bytes = sum(arr.nbytes for arr in back.params.values())
+    param_bytes = sum(arr.nbytes for arr in back.params.values())
     tracemalloc.start()
     try:
         rebuilt = model_from_checkpoint(back)
@@ -528,8 +555,10 @@ def test_model_adopts_its_records(tmp_path):
     finally:
         tracemalloc.stop()
     for name, arr in back.params.items():
-        assert rebuilt.params[name].data is arr, name
-    assert peak <= 1.01 * grad_bytes, (peak, grad_bytes)
+        t = rebuilt.params[name]
+        assert t.data is arr, name
+        assert t.grad is None and not t.requires_grad, name  # an inference model
+    assert peak < 0.05 * param_bytes, (peak, param_bytes)  # no gradient buffers
 
 
 def test_read_error_is_checkpoint_error(tmp_path, monkeypatch, caplog):

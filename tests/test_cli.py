@@ -213,6 +213,33 @@ def test_resume_with_changed_model_flag_exit_2(corpus, tmp_path, capsys):
     assert "model.hidden_dim 8 -> 16" in err and "ckpt_00000004.srnn" in err
 
 
+def test_refused_resume_writes_nothing(corpus, tmp_path, capsys):
+    _, ckdir, manifest = train_toy(corpus, tmp_path)
+    capsys.readouterr()
+    toy = list(TOY)
+    toy[toy.index("--dim") + 1] = "16"
+    fresh = tmp_path / "fresh"
+    rc = main(["train", "--manifest", str(manifest), "--ckpt-dir", str(fresh), *toy,
+               "--iters", "6", "--seed", "0", "--resume", str(ckdir / "ckpt_00000004.srnn")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "model.hidden_dim 8 -> 16" in err
+    assert not fresh.exists()
+
+
+def test_resume_draws_no_model(corpus, tmp_path, monkeypatch):
+    _, ckdir, manifest = train_toy(corpus, tmp_path)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("a resume drew a model")
+
+    monkeypatch.setattr(cli, "init_params", no_init)
+    rc = main(["train", "--manifest", str(manifest), "--ckpt-dir", str(ckdir), *TOY,
+               "--iters", "6", "--seed", "0", "--resume", str(ckdir / "ckpt_00000004.srnn")])
+    assert rc == 0
+    assert (ckdir / "ckpt_00000006.srnn").exists()
+
+
 def test_generate_ckpt_equals_ckpt_dir_of_that_checkpoint(corpus, tmp_path, capsys):
     _, ckdir, _ = train_toy(corpus, tmp_path)
     only = tmp_path / "only"
@@ -408,6 +435,7 @@ def toy_checkpoint(tmp_path):
     ("generate --ckpt {ckpt} --out-dir {out} --temperature nan", "temperature must be positive and finite, got nan"),
     ("train --manifest {manifest} --ckpt-dir {out} --lr nan", "lr must be positive and finite, got nan"),
     ("train --manifest {manifest} --ckpt-dir {out} --validate-every -1", "validate_every must be >= 0, got -1"),
+    ("train --manifest {manifest} --ckpt-dir {out} --iters 0", "max_iterations must be >= 1, got 0"),
     ("chunk --corpus-dir {corpus} --manifest {out}/m.tsv --chunk-seconds nan",
      "chunk_seconds must be positive and finite, got nan"),
     ("chunk --corpus-dir {corpus} --manifest {out}/m.tsv --ratios nan,0.5,0.5",
@@ -421,8 +449,8 @@ def test_numeric_input_refused_by_its_owner_exit_2(corpus, tmp_path, capsys, arg
     capsys.readouterr()
     out = tmp_path / "out"
     argv = argv.format(ckpt=toy_checkpoint(tmp_path), out=out, manifest=manifest, corpus=corpus).split()
-    if argv[0] == "train":
-        argv += [*TOY, "--iters", "2"]
+    if argv[0] == "train":  # the case's own flags come last, so they win
+        argv[1:1] = [*TOY, "--iters", "2"]
     rc = main(argv)
     assert rc == 2
     err = capsys.readouterr().err
@@ -443,6 +471,24 @@ def test_manifest_row_outside_its_source_exit_2(corpus, tmp_path, capsys, offset
     err = capsys.readouterr().err
     assert err.startswith(f"error: {wav}: chunk 2 spans samples [{offset}, {offset + 16000}), ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "ck").exists()
+
+
+def test_source_at_another_rate_exit_2(tmp_path, capsys):
+    cdir = tmp_path / "corpus"
+    cdir.mkdir()
+    wav = cdir / "a.wav"
+    audio.write_wav(AudioBuffer(make_tone(300.0, 12.0, 8000), 8000), wav)
+    manifest = tmp_path / "m.tsv"
+    assert main(["chunk", "--corpus-dir", str(cdir), "--manifest", str(manifest),
+                 "--chunk-seconds", "1", "--rate", "8000"]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--manifest", str(manifest), "--ckpt-dir", str(tmp_path / "ck"),
+               *TOY, "--iters", "2", "--rate", "16000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {wav}: ") and err.count("\n") == 1
+    assert "8000" in err and "16000" in err
     assert not (tmp_path / "ck").exists()
 
 
